@@ -3,18 +3,19 @@
 Run with ``pytest benchmarks/perf -m perf``.  Excluded from the default
 suite because it asserts on machine-dependent wall-clock timings.
 
-The teeth behind the performance observatory's own contract: routing
-sweeps through the instrumented kernel twin
-(:func:`repro.core.fastgibbs.fast_sweep_profiled`) may not slow the fit
-by more than a few percent, and the sampled chain must be bit-identical
-with a profiler installed or not — instrumentation reads
+The teeth behind the performance observatory's own contract: a fit
+with an active :class:`repro.telemetry.tracing.Tracer` (what ``cold
+profile`` installs; the one ``fast_sweep`` kernel then records a span
+around its post loop and one around its link loop) may not be slower
+than a dark fit by more than a few percent, and the sampled chain must
+be bit-identical with a tracer installed or not — spans read
 ``time.perf_counter`` only, never the RNG.
 
 The attribution tests are the acceptance bar for ``cold profile``: the
 phase table must account for at least 90% of the medium case's measured
 sweep wall time, both on the serial kernels and through the processes
 executor's full superstep loop (snapshot → dispatch → worker shards →
-merge).
+merge), with the phase table derived from those spans.
 """
 
 from __future__ import annotations

@@ -42,10 +42,12 @@ def test_smoke_case_sustains_load():
     )
     # Every query family must be represented in the timed mix.
     assert set(record["endpoints"]) == {
-        "/predict/retweet",
-        "/predict/link",
-        "/predict/timestamp",
-        "/query/influential",
+        "/v1/query/retweet",
+        "/v1/query/link",
+        "/v1/query/timestamp",
+        "/v1/query/influential",
     }
+    # The mix drives only the versioned routes, never the deprecated ones.
+    assert record["metrics_exposition"]["legacy_requests_total"] == 0
     # The warmed fold cache is doing its job on the hot retweet path.
     assert record["cache"]["hits"] > 0

@@ -49,11 +49,9 @@ re-checks it on every run.  The reference kernels remain the oracle;
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
-from ..telemetry import profiler as _profiler
 from ..telemetry import tracing as trace
 from .gibbs import _WEIGHT_FLOOR
 from .params import Hyperparameters
@@ -75,7 +73,7 @@ class SweepCache:
     """
 
     def __init__(self, state: CountState, hp: Hyperparameters) -> None:
-        with trace.span("sweepcache.build"), _profiler.phase("cache_build"):
+        with trace.span("sweepcache.build"):
             self._build(state, hp)
 
     def _build(self, state: CountState, hp: Hyperparameters) -> None:
@@ -143,9 +141,7 @@ class SweepCache:
         which is what makes per-shard dispatch overhead scale with the
         shard instead of the corpus.
         """
-        with trace.span("sweepcache.refresh"), _profiler.phase(
-            "cache_refresh"
-        ):
+        with trace.span("sweepcache.refresh"):
             self._bind_counters(state)
             self._bind_assignments(state)
 
@@ -586,6 +582,11 @@ def fast_sweep(
     bit-identical and the RNG is consumed in the same order (the link
     visitation permutation, when not supplied, is drawn *after* the post
     loop exactly as the reference sweep draws it).
+
+    The post loop and the link loop each run inside one trace span
+    (``posts`` / ``links``, carrying the item count as ``count``), which
+    is all ``cold profile`` needs to attribute sweep wall per post and
+    per link; with tracing off a sweep pays two no-op ``span()`` reads.
     """
     if isinstance(post_order, np.ndarray):
         post_order = post_order.tolist()
@@ -647,98 +648,99 @@ def fast_sweep(
     post_moved = cache.post_moved
     degenerate = 0
 
-    for post in post_order:
-        old_c = post_c[post]
-        old_k = post_k[post]
-        t = times[post]
-        author = authors[post]
+    with trace.span("posts", count=len(post_order)):
+        for post in post_order:
+            old_c = post_c[post]
+            old_k = post_k[post]
+            t = times[post]
+            author = authors[post]
 
-        # Eq. (1) against the live counters (community_weights).
-        weights = add(n_user_comm[author], rho, comm_buf)
-        factor = add(n_comm_topic[:, old_k], alpha, factor_buf)
-        div(factor, comm_denom, factor)
-        mul(weights, factor, weights)
-        add(n_ctt[:, old_k, t], eps, factor)
-        div(factor, time_denom[:, old_k], factor)
-        mul(weights, factor, weights)
-        # Virtual removal: patch entry old_c (corrected_community_entry).
-        n_ck = int(n_comm_topic[old_c, old_k]) - 1
-        n_ckt = int(n_ctt[old_c, old_k, t]) - 1
-        weights[old_c] = (
-            ((int(n_user_comm[author, old_c]) - 1) + rho)
-            * ((n_ck + alpha) / ((int(n_comm_total[old_c]) - 1) + K_alpha))
-        ) * ((n_ckt + eps) / (n_ck + T_eps))
-        maximum(weights, floor, out=weights)
-        total = reduce_(weights)
-        if isfinite(total) and total > 0.0:
-            accumulate(weights, 0, None, cum_comm)
-            index = cum_comm.searchsorted(random() * total, side="right")
-            new_c = int(index) if index < C1 else C1
-        else:
-            new_c = int(integers(C))
-            degenerate += 1
+            # Eq. (1) against the live counters (community_weights).
+            weights = add(n_user_comm[author], rho, comm_buf)
+            factor = add(n_comm_topic[:, old_k], alpha, factor_buf)
+            div(factor, comm_denom, factor)
+            mul(weights, factor, weights)
+            add(n_ctt[:, old_k, t], eps, factor)
+            div(factor, time_denom[:, old_k], factor)
+            mul(weights, factor, weights)
+            # Virtual removal: patch entry old_c (corrected_community_entry).
+            n_ck = int(n_comm_topic[old_c, old_k]) - 1
+            n_ckt = int(n_ctt[old_c, old_k, t]) - 1
+            weights[old_c] = (
+                ((int(n_user_comm[author, old_c]) - 1) + rho)
+                * ((n_ck + alpha) / ((int(n_comm_total[old_c]) - 1) + K_alpha))
+            ) * ((n_ckt + eps) / (n_ck + T_eps))
+            maximum(weights, floor, out=weights)
+            total = reduce_(weights)
+            if isfinite(total) and total > 0.0:
+                accumulate(weights, 0, None, cum_comm)
+                index = cum_comm.searchsorted(random() * total, side="right")
+                new_c = int(index) if index < C1 else C1
+            else:
+                new_c = int(integers(C))
+                degenerate += 1
 
-        # Eq. (3) with the virtual-removal patches (topic_log_weights).
-        base = base_all[new_c, t]
-        if all_distinct[post]:
-            words, counts = post_words[post]
-            W = len(words)
-            gathered = int_bufs.get(W)
-            if gathered is None:
-                gathered = int_bufs[W] = empty((W, K), np.int64)
-            word_topic.take(words, 0, gathered)
-            gathered[:, old_k] -= counts
-            buf = kw_bufs.get(W)
-            if buf is None:
-                buf = kw_bufs[W] = empty((K, W))
-            terms = add(gathered.T, beta, buf)
-            log(terms, terms)
-            numerator = reduce_(terms, 1)
-        else:
-            full_words, qs_col, mults = expanded[post]
-            L = len(full_words)
-            ints = int_bufs.get(L)
-            if ints is None:
-                ints = int_bufs[L] = empty((L, K), np.int64)
-            word_topic.take(full_words, 0, ints)
-            add(ints, qs_col, ints)
-            ints[:, old_k] -= mults
-            terms = flt_bufs.get(L)
-            if terms is None:
-                terms = flt_bufs[L] = empty((L, K))
-            add(ints, beta, terms)
-            log(terms, terms)
-            accumulate(terms, 0, None, terms)
-            numerator = terms[-1]
-        length = lengths[post]
-        denominator = reduce_(ldt[:, M : M + length], 1)
-        lw = add(base, numerator, topic_buf)
-        sub(lw, denominator, lw)
-        den = reduce_(ldt[old_k, M - length : M])
-        if new_c == old_c:
-            log3[0] = n_ck + alpha
-            log3[1] = n_ck + T_eps
-            log3[2] = n_ckt + eps
-            log(log3, log3)
-            base_val = log3[0] + (log3[2] - log3[1])
-        else:
-            base_val = base[old_k]
-        lw[old_k] = (base_val + numerator[old_k]) - den
-        sub(lw, max_reduce(lw), lw)
-        exp(lw, lw)
-        maximum(lw, floor, out=lw)
-        total = reduce_(lw)
-        if isfinite(total) and total > 0.0:
-            accumulate(lw, 0, None, cum_topic)
-            index = cum_topic.searchsorted(random() * total, side="right")
-            new_k = int(index) if index < K1 else K1
-        else:
-            new_k = int(integers(K))
-            degenerate += 1
+            # Eq. (3) with the virtual-removal patches (topic_log_weights).
+            base = base_all[new_c, t]
+            if all_distinct[post]:
+                words, counts = post_words[post]
+                W = len(words)
+                gathered = int_bufs.get(W)
+                if gathered is None:
+                    gathered = int_bufs[W] = empty((W, K), np.int64)
+                word_topic.take(words, 0, gathered)
+                gathered[:, old_k] -= counts
+                buf = kw_bufs.get(W)
+                if buf is None:
+                    buf = kw_bufs[W] = empty((K, W))
+                terms = add(gathered.T, beta, buf)
+                log(terms, terms)
+                numerator = reduce_(terms, 1)
+            else:
+                full_words, qs_col, mults = expanded[post]
+                L = len(full_words)
+                ints = int_bufs.get(L)
+                if ints is None:
+                    ints = int_bufs[L] = empty((L, K), np.int64)
+                word_topic.take(full_words, 0, ints)
+                add(ints, qs_col, ints)
+                ints[:, old_k] -= mults
+                terms = flt_bufs.get(L)
+                if terms is None:
+                    terms = flt_bufs[L] = empty((L, K))
+                add(ints, beta, terms)
+                log(terms, terms)
+                accumulate(terms, 0, None, terms)
+                numerator = terms[-1]
+            length = lengths[post]
+            denominator = reduce_(ldt[:, M : M + length], 1)
+            lw = add(base, numerator, topic_buf)
+            sub(lw, denominator, lw)
+            den = reduce_(ldt[old_k, M - length : M])
+            if new_c == old_c:
+                log3[0] = n_ck + alpha
+                log3[1] = n_ck + T_eps
+                log3[2] = n_ckt + eps
+                log(log3, log3)
+                base_val = log3[0] + (log3[2] - log3[1])
+            else:
+                base_val = base[old_k]
+            lw[old_k] = (base_val + numerator[old_k]) - den
+            sub(lw, max_reduce(lw), lw)
+            exp(lw, lw)
+            maximum(lw, floor, out=lw)
+            total = reduce_(lw)
+            if isfinite(total) and total > 0.0:
+                accumulate(lw, 0, None, cum_topic)
+                index = cum_topic.searchsorted(random() * total, side="right")
+                new_k = int(index) if index < K1 else K1
+            else:
+                new_k = int(integers(K))
+                degenerate += 1
 
-        if new_c != old_c or new_k != old_k:
-            move_post(post, new_c, new_k)
-            post_moved(state, post, old_c, old_k, new_c, new_k)
+            if new_c != old_c or new_k != old_k:
+                move_post(post, new_c, new_k)
+                post_moved(state, post, old_c, old_k, new_c, new_k)
 
     state.degenerate_draws += degenerate
     degenerate = 0
@@ -775,273 +777,8 @@ def fast_sweep(
     # link kernel removes for real and wins by caching the Eq. (2)
     # occupation factor (a full C x C recompute per draw in the
     # reference) per cell.  Same body as fast_resample_link, inlined.
-    for link in link_order:
-        src, dst = link_users[link]
-        old_c = link_c[link]
-        old_cp = link_cp[link]
-        n_user_comm[src, old_c] -= 1
-        n_user_comm[dst, old_cp] -= 1
-        n_link_comm[old_c, old_cp] -= 1
-        n = int(n_link_comm[old_c, old_cp])
-        link_factor[old_c, old_cp] = (n + lambda1) / (n + lambda0 + lambda1)
-        # Eq. (2) over the removed counters (link_weights).
-        add(n_user_comm[src], rho, comm_buf)
-        add(n_user_comm[dst], rho, factor_buf)
-        mul(comm_col, factor_row, pair_buf)
-        mul(pair_buf, link_factor, pair_buf)
-        maximum(pair_flat, floor, out=pair_flat)
-        total = reduce_(pair_flat)
-        if isfinite(total) and total > 0.0:
-            accumulate(pair_flat, 0, None, cum_pair)
-            index = cum_pair.searchsorted(random() * total, side="right")
-            flat_index = int(index) if index < CC1 else CC1
-        else:
-            flat_index = int(integers(CC))
-            degenerate += 1
-        new_c, new_cp = divmod(flat_index, C)
-        n_user_comm[src, new_c] += 1
-        n_user_comm[dst, new_cp] += 1
-        n_link_comm[new_c, new_cp] += 1
-        n = int(n_link_comm[new_c, new_cp])
-        link_factor[new_c, new_cp] = (n + lambda1) / (n + lambda0 + lambda1)
-        link_src_comm[link] = new_c
-        link_dst_comm[link] = new_cp
-        link_c[link] = new_c
-        link_cp[link] = new_cp
-
-    state.degenerate_draws += degenerate
-
-
-def fast_sweep_profiled(
-    state: CountState,
-    hp: Hyperparameters,
-    rng: np.random.Generator,
-    post_order: list[int] | np.ndarray,
-    link_order: list[int] | np.ndarray | None,
-    cache: SweepCache,
-    profiler,
-) -> None:
-    """:func:`fast_sweep` with phase-boundary timers for the profiler.
-
-    A deliberate duplicate: the dark path must not pay even a per-draw
-    branch for instrumentation, so the profiled variant is a separate
-    function selected by :func:`repro.core.gibbs.sweep` only while a
-    :class:`~repro.telemetry.profiler.PhaseProfiler` is active.  The
-    operation and RNG sequence is identical to :func:`fast_sweep` —
-    timers only read ``perf_counter`` and accumulate into local floats,
-    flushed to the profiler once per sweep — so profiled draws stay
-    bit-identical to dark draws (``tests/telemetry/test_profiler.py``
-    and the ``benchmarks/perf`` overhead gate both enforce this; keep
-    the two bodies in lockstep when touching either).
-
-    Phase paths are relative to the profiler's open stack (a worker's
-    ``shard`` phase, or nothing in a serial fit), rooted at ``sweep``:
-    ``posts``/``links`` split into ``resample`` (conditional weights),
-    ``draw`` (cdf + inverse-transform draw) and ``update`` (counter and
-    cache mutation).
-    """
-    perf = time.perf_counter
-    base_path = profiler.current_path() + ("sweep",)
-    posts_resample_s = posts_draw_s = posts_update_s = 0.0
-    links_resample_s = links_draw_s = links_update_s = 0.0
-    permutation_s = 0.0
-    sweep_start = perf()
-
-    if isinstance(post_order, np.ndarray):
-        post_order = post_order.tolist()
-
-    # Loop-invariant bindings: same set as fast_sweep.
-    n_user_comm = state.n_user_comm
-    n_comm_topic = state.n_comm_topic
-    n_ctt = state.n_comm_topic_time
-    n_comm_total = cache.n_comm_total
-    comm_denom = cache.comm_denom
-    time_denom = cache.time_denom
-    base_all = cache.base
-    ldt = cache.log_denom_terms
-    word_topic = cache.word_topic
-    times = cache._times
-    authors = cache._authors
-    lengths = cache._lengths
-    post_words = cache._post_words
-    all_distinct = cache._all_distinct
-    expanded = cache._expanded
-    kw_bufs = cache._kw_bufs
-    int_bufs = cache._int_bufs
-    flt_bufs = cache._flt_bufs
-    post_c = cache._post_c
-    post_k = cache._post_k
-    comm_buf = cache._comm_buf
-    factor_buf = cache._factor_buf
-    topic_buf = cache._topic_buf
-    cum_comm = cache._cum_comm
-    cum_topic = cache._cum_topic
-    log3 = cache._log3
-    rho = hp.rho
-    alpha = hp.alpha
-    eps = hp.epsilon
-    beta = hp.beta
-    K_alpha = cache._K_alpha
-    T_eps = cache._T_eps
-    M = cache.max_len
-    K = cache.K
-    C = state.num_communities
-    C1 = C - 1
-    K1 = K - 1
-    floor = _WEIGHT_FLOOR
-    random = rng.random
-    integers = rng.integers
-    isfinite = math.isfinite
-    add = np.add
-    sub = np.subtract
-    mul = np.multiply
-    div = np.divide
-    log = np.log
-    exp = np.exp
-    maximum = np.maximum
-    max_reduce = np.maximum.reduce
-    reduce_ = np.add.reduce
-    accumulate = np.add.accumulate
-    empty = np.empty
-    move_post = state.move_post
-    post_moved = cache.post_moved
-    degenerate = 0
-
-    for post in post_order:
-        t0 = perf()
-        old_c = post_c[post]
-        old_k = post_k[post]
-        t = times[post]
-        author = authors[post]
-
-        # Eq. (1) against the live counters (community_weights).
-        weights = add(n_user_comm[author], rho, comm_buf)
-        factor = add(n_comm_topic[:, old_k], alpha, factor_buf)
-        div(factor, comm_denom, factor)
-        mul(weights, factor, weights)
-        add(n_ctt[:, old_k, t], eps, factor)
-        div(factor, time_denom[:, old_k], factor)
-        mul(weights, factor, weights)
-        n_ck = int(n_comm_topic[old_c, old_k]) - 1
-        n_ckt = int(n_ctt[old_c, old_k, t]) - 1
-        weights[old_c] = (
-            ((int(n_user_comm[author, old_c]) - 1) + rho)
-            * ((n_ck + alpha) / ((int(n_comm_total[old_c]) - 1) + K_alpha))
-        ) * ((n_ckt + eps) / (n_ck + T_eps))
-        maximum(weights, floor, out=weights)
-        t1 = perf()
-        posts_resample_s += t1 - t0
-        total = reduce_(weights)
-        if isfinite(total) and total > 0.0:
-            accumulate(weights, 0, None, cum_comm)
-            index = cum_comm.searchsorted(random() * total, side="right")
-            new_c = int(index) if index < C1 else C1
-        else:
-            new_c = int(integers(C))
-            degenerate += 1
-        t2 = perf()
-        posts_draw_s += t2 - t1
-
-        # Eq. (3) with the virtual-removal patches (topic_log_weights).
-        base = base_all[new_c, t]
-        if all_distinct[post]:
-            words, counts = post_words[post]
-            W = len(words)
-            gathered = int_bufs.get(W)
-            if gathered is None:
-                gathered = int_bufs[W] = empty((W, K), np.int64)
-            word_topic.take(words, 0, gathered)
-            gathered[:, old_k] -= counts
-            buf = kw_bufs.get(W)
-            if buf is None:
-                buf = kw_bufs[W] = empty((K, W))
-            terms = add(gathered.T, beta, buf)
-            log(terms, terms)
-            numerator = reduce_(terms, 1)
-        else:
-            full_words, qs_col, mults = expanded[post]
-            L = len(full_words)
-            ints = int_bufs.get(L)
-            if ints is None:
-                ints = int_bufs[L] = empty((L, K), np.int64)
-            word_topic.take(full_words, 0, ints)
-            add(ints, qs_col, ints)
-            ints[:, old_k] -= mults
-            terms = flt_bufs.get(L)
-            if terms is None:
-                terms = flt_bufs[L] = empty((L, K))
-            add(ints, beta, terms)
-            log(terms, terms)
-            accumulate(terms, 0, None, terms)
-            numerator = terms[-1]
-        length = lengths[post]
-        denominator = reduce_(ldt[:, M : M + length], 1)
-        lw = add(base, numerator, topic_buf)
-        sub(lw, denominator, lw)
-        den = reduce_(ldt[old_k, M - length : M])
-        if new_c == old_c:
-            log3[0] = n_ck + alpha
-            log3[1] = n_ck + T_eps
-            log3[2] = n_ckt + eps
-            log(log3, log3)
-            base_val = log3[0] + (log3[2] - log3[1])
-        else:
-            base_val = base[old_k]
-        lw[old_k] = (base_val + numerator[old_k]) - den
-        sub(lw, max_reduce(lw), lw)
-        exp(lw, lw)
-        maximum(lw, floor, out=lw)
-        t3 = perf()
-        posts_resample_s += t3 - t2
-        total = reduce_(lw)
-        if isfinite(total) and total > 0.0:
-            accumulate(lw, 0, None, cum_topic)
-            index = cum_topic.searchsorted(random() * total, side="right")
-            new_k = int(index) if index < K1 else K1
-        else:
-            new_k = int(integers(K))
-            degenerate += 1
-        t4 = perf()
-        posts_draw_s += t4 - t3
-
-        if new_c != old_c or new_k != old_k:
-            move_post(post, new_c, new_k)
-            post_moved(state, post, old_c, old_k, new_c, new_k)
-        posts_update_s += perf() - t4
-
-    state.degenerate_draws += degenerate
-    degenerate = 0
-    num_posts = len(post_order)
-    num_links = 0
-
-    if state.num_links:
-        t0 = perf()
-        if link_order is None:
-            link_order = rng.permutation(state.num_links).tolist()
-        elif isinstance(link_order, np.ndarray):
-            link_order = link_order.tolist()
-        permutation_s = perf() - t0
-        num_links = len(link_order)
-
-        link_users = cache._link_users
-        link_c = cache._link_c
-        link_cp = cache._link_cp
-        link_src_comm = state.link_src_comm
-        link_dst_comm = state.link_dst_comm
-        link_factor = cache.link_factor
-        n_link_comm = state.n_link_comm
-        pair_buf = cache._pair_buf
-        pair_flat = pair_buf.ravel()
-        comm_col = comm_buf[:, None]
-        factor_row = factor_buf[None, :]
-        cum_pair = cache._cum_pair
-        lambda0 = hp.lambda0
-        lambda1 = hp.lambda1
-        CC = C * C
-        CC1 = CC - 1
-
+    with trace.span("links", count=len(link_order)):
         for link in link_order:
-            t0 = perf()
             src, dst = link_users[link]
             old_c = link_c[link]
             old_cp = link_cp[link]
@@ -1049,17 +786,13 @@ def fast_sweep_profiled(
             n_user_comm[dst, old_cp] -= 1
             n_link_comm[old_c, old_cp] -= 1
             n = int(n_link_comm[old_c, old_cp])
-            link_factor[old_c, old_cp] = (n + lambda1) / (
-                n + lambda0 + lambda1
-            )
+            link_factor[old_c, old_cp] = (n + lambda1) / (n + lambda0 + lambda1)
             # Eq. (2) over the removed counters (link_weights).
             add(n_user_comm[src], rho, comm_buf)
             add(n_user_comm[dst], rho, factor_buf)
             mul(comm_col, factor_row, pair_buf)
             mul(pair_buf, link_factor, pair_buf)
             maximum(pair_flat, floor, out=pair_flat)
-            t1 = perf()
-            links_resample_s += t1 - t0
             total = reduce_(pair_flat)
             if isfinite(total) and total > 0.0:
                 accumulate(pair_flat, 0, None, cum_pair)
@@ -1068,36 +801,16 @@ def fast_sweep_profiled(
             else:
                 flat_index = int(integers(CC))
                 degenerate += 1
-            t2 = perf()
-            links_draw_s += t2 - t1
             new_c, new_cp = divmod(flat_index, C)
             n_user_comm[src, new_c] += 1
             n_user_comm[dst, new_cp] += 1
             n_link_comm[new_c, new_cp] += 1
             n = int(n_link_comm[new_c, new_cp])
-            link_factor[new_c, new_cp] = (n + lambda1) / (
-                n + lambda0 + lambda1
-            )
+            link_factor[new_c, new_cp] = (n + lambda1) / (n + lambda0 + lambda1)
             link_src_comm[link] = new_c
             link_dst_comm[link] = new_cp
             link_c[link] = new_c
             link_cp[link] = new_cp
-            links_update_s += perf() - t2
 
-        state.degenerate_draws += degenerate
+    state.degenerate_draws += degenerate
 
-    sweep_elapsed = perf() - sweep_start
-    profiler.add(base_path, sweep_elapsed)
-    if num_posts:
-        profiler.add(
-            base_path + ("posts", "resample"), posts_resample_s, num_posts
-        )
-        profiler.add(base_path + ("posts", "draw"), posts_draw_s, num_posts)
-        profiler.add(base_path + ("posts", "update"), posts_update_s, num_posts)
-    if num_links:
-        profiler.add(base_path + ("links", "permutation"), permutation_s)
-        profiler.add(
-            base_path + ("links", "resample"), links_resample_s, num_links
-        )
-        profiler.add(base_path + ("links", "draw"), links_draw_s, num_links)
-        profiler.add(base_path + ("links", "update"), links_update_s, num_links)

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..telemetry import profiler
 from ..telemetry import tracing as trace
 from .params import Hyperparameters
 from .state import CountState
@@ -210,20 +209,12 @@ def sweep(
     if post_order is None:
         post_order = rng.permutation(state.num_posts)
     if cache is not None:
-        from .fastgibbs import fast_sweep, fast_sweep_profiled
+        from .fastgibbs import fast_sweep
 
         # fast_sweep draws the link permutation itself (after the post
         # loop, where this function draws it) so the RNG stream matches.
-        # The profiled twin is op-for-op identical; selecting it here
-        # keeps the dark path free of per-draw instrumentation branches.
-        prof = profiler.get_profiler()
         with trace.span("fast_sweep", posts=len(post_order)):
-            if prof is not None:
-                fast_sweep_profiled(
-                    state, hp, rng, post_order, link_order, cache, prof
-                )
-            else:
-                fast_sweep(state, hp, rng, post_order, link_order, cache)
+            fast_sweep(state, hp, rng, post_order, link_order, cache)
         return
     posts = post_order.tolist() if isinstance(post_order, np.ndarray) else post_order
     for post in posts:

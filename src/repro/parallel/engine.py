@@ -380,22 +380,23 @@ class SimulatedCluster:
         with trace.span(
             "superstep", superstep=superstep_index, executor=self.executor
         ):
-            dispatch_start = time.perf_counter()
-            if parallel_dispatch:
-                with ThreadPoolExecutor(max_workers=self.num_nodes) as pool:
-                    futures = [
-                        pool.submit(
-                            self._run_node, n, task, reset, superstep_index
-                        )
+            with trace.span("dispatch", superstep=superstep_index):
+                dispatch_start = time.perf_counter()
+                if parallel_dispatch:
+                    with ThreadPoolExecutor(max_workers=self.num_nodes) as pool:
+                        futures = [
+                            pool.submit(
+                                self._run_node, n, task, reset, superstep_index
+                            )
+                            for n, task in enumerate(node_tasks)
+                        ]
+                        timings = [f.result() for f in futures]
+                else:
+                    timings = [
+                        self._run_node(n, task, reset, superstep_index)
                         for n, task in enumerate(node_tasks)
                     ]
-                    timings = [f.result() for f in futures]
-            else:
-                timings = [
-                    self._run_node(n, task, reset, superstep_index)
-                    for n, task in enumerate(node_tasks)
-                ]
-            dispatch_wall = time.perf_counter() - dispatch_start
+                dispatch_wall = time.perf_counter() - dispatch_start
             merge_seconds, merge_attempts = self._run_merge(
                 merge, superstep_index
             )

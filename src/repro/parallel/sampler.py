@@ -43,7 +43,7 @@ from ..core.state import CountState
 from ..datasets.corpus import SocialCorpus
 from ..resilience.faults import FaultError, FaultPlan
 from ..resilience.retry import RetryPolicy
-from ..telemetry import profiler as profiling
+from ..telemetry import tracing as trace
 from ..telemetry.logconfig import get_logger
 from ..telemetry.profiler import memory_gauges, worker_utilization
 from ..telemetry.session import TelemetrySession
@@ -305,25 +305,6 @@ class ParallelCOLDSampler:
                         state, hp, shards, cluster, node_rngs, iteration, pool
                     )
                     sweep_wall = time.perf_counter() - sweep_start
-                    prof = profiling.get_profiler()
-                    if prof is not None:
-                        # Parent-side phase attribution of the superstep:
-                        # the dispatch window splits into the slowest
-                        # node's compute and the synchronisation overhead
-                        # beyond it (the engine's barrier reading), so the
-                        # leaves sum to the superstep wall alongside
-                        # snapshot + merge.
-                        prof.add(("dispatch",), report.dispatch_wall_seconds)
-                        prof.add(
-                            ("dispatch", "compute"),
-                            report.dispatch_wall_seconds
-                            - report.barrier_seconds,
-                        )
-                        if report.barrier_seconds:
-                            prof.add(
-                                ("dispatch", "barrier"), report.barrier_seconds
-                            )
-                        prof.add(("merge",), report.merge_seconds)
                     supersteps.append(report)
                     if self.verify_recovery and report.retries:
                         # The superstep replayed at least one node (or re-ran
@@ -384,7 +365,7 @@ class ParallelCOLDSampler:
             return self._process_superstep(
                 state, shards, cluster, node_rngs, iteration, pool
             )
-        with profiling.phase("snapshot"):
+        with trace.span("snapshot"):
             snapshot = _Snapshot.of(state)
             locals_ = [snapshot.local_state(state) for _ in shards]
         attempt_counters = [0] * len(shards)
@@ -474,7 +455,7 @@ class ParallelCOLDSampler:
         worker's consumed draws are lost, so the replay restarts from the
         pre-attempt RNG state.
         """
-        with profiling.phase("snapshot"):
+        with trace.span("snapshot"):
             snapshot = _Snapshot.of(state)
             pool.begin_superstep(state)
         plan = cluster.fault_plan

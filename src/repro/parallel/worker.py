@@ -64,7 +64,6 @@ from ..core.gibbs import sweep
 from ..core.params import Hyperparameters
 from ..core.state import CountState, PostTable
 from ..resilience.faults import FaultError
-from ..telemetry import profiler as profiling
 from ..telemetry import tracing
 from ..telemetry.logconfig import ROOT_LOGGER_NAME, BufferingLogHandler, get_logger
 from ..telemetry.session import NULL_SESSION, TelemetrySession
@@ -131,14 +130,15 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
 
     Telemetry (``init["telemetry"]``): when the parent's session is
     enabled, the worker buffers its own log records
-    (:class:`~repro.telemetry.logconfig.BufferingLogHandler`) and — when
-    tracing is on — runs a private span tracer around the shard sweep;
-    both buffers are drained into every ``ok`` reply, so logs and spans
+    (:class:`~repro.telemetry.logconfig.BufferingLogHandler`), and
+    whenever a parent tracer is active the worker runs a private span
+    tracer around each shard (``worker_shard`` with its reset, cache,
+    sweep and delta-write spans); both buffers are drained into every
+    ``ok`` reply (``logs`` / ``spans`` keys), so logs and spans
     travel home over the existing pipe with no extra channel.  A crashed
     worker's buffers die with it, exactly like its draws.
     """
     import logging
-    from contextlib import nullcontext
 
     telemetry_cfg = init.get("telemetry") or {}
     log_buffer: BufferingLogHandler | None = None
@@ -149,23 +149,13 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
         root.addHandler(log_buffer)
         root.setLevel(telemetry_cfg.get("log_level", logging.WARNING))
         root.propagate = False
-        if telemetry_cfg.get("trace"):
-            tracer = tracing.Tracer()
-            tracing.set_tracer(tracer)
         _log.debug("worker %d ready (pid %d)", worker_id, os.getpid())
-    # Phase profiling is independent of the metrics/trace session: a
-    # ``cold profile`` run ships ``profile: True`` with no files at all.
-    # The worker's phases travel home in every reply (``profile`` key) and
-    # the parent folds them in under a ``worker`` prefix.
-    shard_profiler: profiling.PhaseProfiler | None = None
-    if telemetry_cfg.get("profile"):
-        shard_profiler = profiling.PhaseProfiler()
-        profiling.set_profiler(shard_profiler)
-
-    def _phase(name: str):
-        if shard_profiler is None:
-            return nullcontext()
-        return shard_profiler.phase(name)
+    # Tracing is independent of the metrics/log session: ``cold profile``
+    # installs a bare parent tracer with no files at all, and its phase
+    # table is built from the spans every reply ships home.
+    if telemetry_cfg.get("trace"):
+        tracer = tracing.Tracer()
+        tracing.set_tracer(tracer)
     blocks = {
         key: SharedArrayBlock.attach(spec) for key, spec in init["blocks"].items()
     }
@@ -211,12 +201,12 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
             break
         _, node, crash_progress, rng_state = command
         try:
-            with _phase("shard"):
+            with tracing.span("worker_shard", node=node, worker=worker_id):
                 rng.bit_generator.state = rng_state
                 cpu_start = time.process_time()
                 wall_start = time.perf_counter()
                 if local is None:
-                    with _phase("reset"):
+                    with tracing.span("reset"):
                         local = CountState(
                             num_communities=init["num_communities"],
                             num_topics=init["num_topics"],
@@ -230,7 +220,7 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
                         )
                     cache = SweepCache(local, hp) if init["fast"] else None
                 else:
-                    with _phase("reset"):
+                    with tracing.span("reset"):
                         for name in COUNTER_FIELDS:
                             np.copyto(getattr(local, name), snapshot[name])
                         local.degenerate_draws = 0
@@ -266,16 +256,15 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
                         cache=cache,
                     )
                     os._exit(_CRASH_EXIT)
-                with tracing.span("worker_shard", node=node, worker=worker_id):
-                    sweep(
-                        local,
-                        hp,
-                        rng,
-                        post_order=post_order,
-                        link_order=link_order,
-                        cache=cache,
-                    )
-                with _phase("delta_write"):
+                sweep(
+                    local,
+                    hp,
+                    rng,
+                    post_order=post_order,
+                    link_order=link_order,
+                    cache=cache,
+                )
+                with tracing.span("delta_write"):
                     for name in COUNTER_FIELDS:
                         np.subtract(
                             getattr(local, name),
@@ -294,8 +283,6 @@ def worker_main(worker_id: int, init: dict, conn) -> None:
                 payload["logs"] = log_buffer.drain()
             if tracer is not None:
                 payload["spans"] = tracer.drain()
-            if shard_profiler is not None:
-                payload["profile"] = shard_profiler.drain()
             conn.send(("ok", payload))
         except Exception:
             conn.send(("error", traceback.format_exc()))

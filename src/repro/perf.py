@@ -74,6 +74,7 @@ from .datasets.corpus import SocialCorpus
 from .datasets.synthetic import SyntheticConfig, generate_corpus
 from .parallel.sampler import ParallelCOLDSampler
 from .resilience.checkpoint import atomic_write_text
+from .telemetry.tracing import Tracer, set_tracer
 
 __all__ = [
     "DEFAULT_COMPARE_THRESHOLD",
@@ -224,14 +225,7 @@ def draws_match(
         for _ in range(num_sweeps):
             sweep(state, hp, rng, cache=cache)
         states.append(state)
-    reference, fast_state = states
-    return (
-        np.array_equal(reference.post_comm, fast_state.post_comm)
-        and np.array_equal(reference.post_topic, fast_state.post_topic)
-        and np.array_equal(reference.link_src_comm, fast_state.link_src_comm)
-        and np.array_equal(reference.link_dst_comm, fast_state.link_dst_comm)
-        and reference.degenerate_draws == fast_state.degenerate_draws
-    )
+    return _states_identical(*states)
 
 
 def run_case(
@@ -725,19 +719,24 @@ def _scrape_prometheus(host: str, port: int) -> dict:
     requests_total = sum(
         sample.value for sample in parsed.series("serving_requests_total")
     )
+    legacy_total = sum(
+        sample.value
+        for sample in parsed.series("serving_legacy_requests_total")
+    )
     return {
         "valid": True,
         "content_type": content_type,
         "samples": len(parsed.samples),
         "families": len(parsed.types),
         "requests_total": requests_total,
+        "legacy_requests_total": legacy_total,
     }
 
 
 def _serving_request_mix(
     num_requests: int, num_users: int, vocab_size: int
 ) -> list[tuple[str, dict]]:
-    """A deterministic retweet/link/timestamp/influential request mix."""
+    """A deterministic retweet/link/timestamp/influential ``/v1`` request mix."""
     mix: list[tuple[str, dict]] = []
     for index in range(num_requests):
         source = index % num_users
@@ -746,20 +745,20 @@ def _serving_request_mix(
         kind = index % 4
         if kind == 0:
             mix.append((
-                "/predict/retweet",
+                "/v1/query/retweet",
                 {"source": source, "candidates": [other, (index + 2) % num_users],
                  "words": words},
             ))
         elif kind == 1:
             mix.append((
-                "/predict/link", {"sources": [source], "targets": [other]}
+                "/v1/query/link", {"sources": [source], "targets": [other]}
             ))
         elif kind == 2:
             mix.append((
-                "/predict/timestamp", {"author": source, "words": words}
+                "/v1/query/timestamp", {"author": source, "words": words}
             ))
         else:
-            mix.append(("/query/influential", {"topic": index % 4}))
+            mix.append(("/v1/query/influential", {"topic": index % 4}))
     return mix
 
 
@@ -947,15 +946,7 @@ def parallel_draws_match(
             fast=True,
         ).fit(corpus, num_iterations=num_sweeps)
         states.append(sampler.state_)
-    reference, candidate = states
-    assert reference is not None and candidate is not None
-    return (
-        np.array_equal(reference.post_comm, candidate.post_comm)
-        and np.array_equal(reference.post_topic, candidate.post_topic)
-        and np.array_equal(reference.link_src_comm, candidate.link_src_comm)
-        and np.array_equal(reference.link_dst_comm, candidate.link_dst_comm)
-        and reference.degenerate_draws == candidate.degenerate_draws
-    )
+    return _states_identical(*states)
 
 
 def run_parallel_case(
@@ -1453,15 +1444,7 @@ def packed_draws_match(
             states.append(sampler.state_)
     finally:
         packed.close()
-    reference, candidate = states
-    assert reference is not None and candidate is not None
-    return (
-        np.array_equal(reference.post_comm, candidate.post_comm)
-        and np.array_equal(reference.post_topic, candidate.post_topic)
-        and np.array_equal(reference.link_src_comm, candidate.link_src_comm)
-        and np.array_equal(reference.link_dst_comm, candidate.link_dst_comm)
-        and reference.degenerate_draws == candidate.degenerate_draws
-    )
+    return _states_identical(*states)
 
 
 def run_packed_scaling_case(
@@ -1885,12 +1868,12 @@ def run_profile_case(
     nodes: int = 2,
     num_workers: int | None = None,
 ) -> dict:
-    """Run ``sweeps`` instrumented sweeps and build the attribution report.
+    """Run ``sweeps`` traced sweeps and build the attribution report.
 
     ``executor="serial"`` profiles the fast serial kernels directly
     (``warmup`` dark sweeps first, so the report measures warmed sweeps);
     any :class:`~repro.parallel.sampler.ParallelCOLDSampler` executor
-    profiles a parallel fit, with worker shard phases shipped home over
+    profiles a parallel fit, with worker shard spans shipped home over
     the reply pipe and the per-sweep wall read back from a throwaway
     metrics file (which also exercises the utilization gauges).  The
     returned record embeds the report, the collapsed-stack text, and the
@@ -1901,7 +1884,7 @@ def run_profile_case(
     from .telemetry.profiler import memory_gauges
 
     corpus = case.build_corpus()
-    prof = profiling.PhaseProfiler()
+    tracer = Tracer()
     utilization = None
     if executor == "serial":
         hp = Hyperparameters.default(
@@ -1914,7 +1897,7 @@ def run_profile_case(
         cache = SweepCache(state, hp)
         for _ in range(warmup):
             sweep(state, hp, rng, cache=cache)
-        previous = profiling.set_profiler(prof)
+        previous = set_tracer(tracer)
         total_wall = 0.0
         try:
             for _ in range(sweeps):
@@ -1922,11 +1905,11 @@ def run_profile_case(
                 sweep(state, hp, rng, cache=cache)
                 total_wall += time.perf_counter() - start
         finally:
-            profiling.set_profiler(previous)
+            set_tracer(previous)
     else:
         with tempfile.TemporaryDirectory() as tmp:
             metrics_path = Path(tmp) / "metrics.jsonl"
-            previous = profiling.set_profiler(prof)
+            previous = set_tracer(tracer)
             try:
                 ParallelCOLDSampler(
                     num_communities=case.num_communities,
@@ -1938,7 +1921,7 @@ def run_profile_case(
                     metrics_out=metrics_path,
                 ).fit(corpus, num_iterations=sweeps)
             finally:
-                profiling.set_profiler(previous)
+                set_tracer(previous)
             records = [
                 r for r in read_jsonl(metrics_path) if r.get("kind") == "sweep"
             ]
@@ -1953,7 +1936,7 @@ def run_profile_case(
                     4,
                 ),
             }
-    report = profiling.build_profile_report(prof, total_wall, sweeps)
+    report = profiling.build_profile_report(tracer, total_wall, sweeps)
     return {
         "name": case.name,
         "config": asdict(case),
@@ -1963,7 +1946,7 @@ def run_profile_case(
         **report,
         "utilization": utilization,
         "memory": memory_gauges(include_children=executor == "processes"),
-        "collapsed": profiling.render_collapsed(prof),
+        "collapsed": profiling.render_collapsed(tracer),
         **environment_stamp(),
     }
 
@@ -1971,15 +1954,11 @@ def run_profile_case(
 def profiler_draws_match(
     corpus: SocialCorpus, case: BenchCase, num_sweeps: int = 3
 ) -> bool:
-    """True iff profiled and dark fits draw the identical chain.
+    """True iff traced and dark fits draw the identical chain.
 
-    The profiled sweep variant is a separate code path
-    (:func:`~repro.core.fastgibbs.fast_sweep_profiled`), so this is the
-    strongest claim the gate makes: same weights, same RNG consumption,
-    op for op.
+    Spans only read ``perf_counter``, never the RNG; this is the check
+    that keeps it so.
     """
-    from .telemetry import profiler as profiling
-
     states = []
     for enabled in (False, True):
         model = COLDModel(
@@ -1987,13 +1966,11 @@ def profiler_draws_match(
             num_topics=case.num_topics,
             seed=case.seed + 1,
         )
-        previous = profiling.set_profiler(
-            profiling.PhaseProfiler() if enabled else None
-        )
+        previous = set_tracer(Tracer() if enabled else None)
         try:
             model.fit(corpus, num_iterations=num_sweeps, likelihood_interval=1)
         finally:
-            profiling.set_profiler(previous)
+            set_tracer(previous)
         assert model.state_ is not None
         states.append(model.state_)
     return _states_identical(*states)
@@ -2009,13 +1986,11 @@ def run_profiler_overhead_case(
 
     Same ABBA/min-floor discipline as
     :func:`run_telemetry_overhead_case`: each rep times a dark fit and a
-    fit with an active :class:`~repro.telemetry.profiler.PhaseProfiler`
-    (which routes sweeps through the instrumented kernel twin),
-    alternating order so machine drift hits both modes equally.  The
-    perf gate asserts ``overhead_fraction`` stays under 3%.
+    fit with an active :class:`~repro.telemetry.tracing.Tracer` (what
+    ``cold profile`` installs), alternating order so machine drift hits
+    both modes equally.  The perf gate asserts ``overhead_fraction``
+    stays under 3%.
     """
-    from .telemetry import profiler as profiling
-
     corpus = case.build_corpus()
     best = {"off": math.inf, "on": math.inf}
     for rep in range(reps):
@@ -2026,13 +2001,11 @@ def run_profiler_overhead_case(
                 num_topics=case.num_topics,
                 seed=case.seed,
             )
-            previous = profiling.set_profiler(
-                profiling.PhaseProfiler() if mode == "on" else None
-            )
+            previous = set_tracer(Tracer() if mode == "on" else None)
             try:
                 timed = _timed_fit_min_sweep_seconds(model, corpus, sweeps)
             finally:
-                profiling.set_profiler(previous)
+                set_tracer(previous)
             best[mode] = min(best[mode], timed)
     return {
         "name": case.name,

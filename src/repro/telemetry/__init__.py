@@ -73,16 +73,14 @@ from .monitor import (
 )
 from . import profiler as profiler
 from .profiler import (
-    PhaseProfiler,
     build_profile_report,
     compare_profiles,
     escape_phase,
-    get_profiler,
     memory_gauges,
     parse_collapsed,
     render_collapsed,
     render_profile_report,
-    set_profiler,
+    span_rows,
     unescape_phase,
     worker_utilization,
 )
@@ -117,7 +115,6 @@ __all__ = [
     "JsonlWriter",
     "MetricsRegistry",
     "ParsedExposition",
-    "PhaseProfiler",
     "PlainFormatter",
     "RequestIdFilter",
     "SLOConfig",
@@ -135,7 +132,6 @@ __all__ = [
     "escape_phase",
     "format_series",
     "get_logger",
-    "get_profiler",
     "get_request_id",
     "get_tracer",
     "git_describe",
@@ -159,10 +155,10 @@ __all__ = [
     "reset_logging",
     "reset_request_id",
     "sanitize_request_id",
-    "set_profiler",
     "set_request_id",
     "set_tracer",
     "span",
+    "span_rows",
     "summarize",
     "summarize_combined",
     "summarize_serving",

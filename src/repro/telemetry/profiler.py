@@ -1,53 +1,43 @@
-"""Phase profiler for the training hot path.
+"""Phase attribution for the training hot path, derived from trace spans.
 
 ``repro.telemetry`` can already tell you *that* a sweep took 0.8s; this
-module answers *where it went*.  A :class:`PhaseProfiler` accumulates
-inclusive wall seconds under hierarchical phase paths (tuples of names,
-e.g. ``("sweep", "posts", "draw")``) and renders them as a per-phase
-attribution table or as collapsed-stack lines any flamegraph tool
-understands.
+module answers *where it went*.  There is no second timing instrument:
+the spans a :class:`~repro.telemetry.tracing.Tracer` records (``fast_sweep``
+with its ``posts`` and ``links`` loops, cache builds, snapshot, dispatch,
+merge, worker shards) are folded by :func:`span_rows` into inclusive
+seconds per hierarchical phase path (tuples of names, e.g.
+``("fast_sweep", "posts")``) and rendered as a per-phase attribution
+table or as collapsed-stack lines any flamegraph tool understands.
 
-The activation pattern mirrors :mod:`repro.telemetry.tracing`: a module
-global set by :func:`set_profiler`, a shared no-op context manager when
-profiling is off, so the dark path costs one global read.  Two further
-contracts matter more here than anywhere else in the telemetry layer:
-
-* **never touch the RNG** — phases only read ``time.perf_counter``, so a
-  profiled fit draws a chain bit-identical to a dark fit (enforced by
-  ``benchmarks/perf/test_profiler_overhead.py``);
-* **stay out of the inner loop** — the fastgibbs kernels accumulate phase
-  seconds into local floats and flush once per sweep via :meth:`add`;
-  the context-manager form is for per-superstep granularity (cache
-  refresh, merge, dispatch), not per-document work.
-
-Worker processes run their own profiler and ship :meth:`drain` output
-back over the reply pipe; the parent folds it in with :meth:`absorb`
-under a ``worker`` prefix, so concurrent worker time never masquerades
-as parent wall time in the attribution math (see
-:func:`build_profile_report`).
+Spans only read ``time.perf_counter``, never the RNG, so a profiled fit
+draws a chain bit-identical to a dark fit (enforced by
+``benchmarks/perf/test_profiler_overhead.py``).  Worker processes run
+their own tracer whenever the parent's is active and ship its events
+home in the reply's ``spans`` key; :func:`span_rows` puts spans from
+another process under a ``worker`` root and spans rooted on another
+thread under a ``thread`` root, so concurrent time never masquerades as
+parent wall time in the attribution math (see :func:`build_profile_report`).
 """
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
-import time
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable
+
+from .tracing import Tracer
 
 __all__ = [
     "CONCURRENT_ROOTS",
-    "PhaseProfiler",
     "build_profile_report",
     "compare_profiles",
     "escape_phase",
-    "get_profiler",
     "memory_gauges",
     "parse_collapsed",
-    "phase",
     "render_collapsed",
     "render_profile_report",
-    "set_profiler",
+    "span_rows",
     "unescape_phase",
     "worker_utilization",
 ]
@@ -55,151 +45,55 @@ __all__ = [
 PhasePath = tuple[str, ...]
 
 #: Top-level phase trees whose seconds ran *concurrently* with the parent
-#: (worker processes overlap the parent's ``dispatch`` window), so they are
-#: excluded from the wall-time attribution sum and reported separately.
-CONCURRENT_ROOTS: tuple[str, ...] = ("worker",)
+#: thread (worker processes and dispatch threads overlap the parent's
+#: ``dispatch`` window), so they are excluded from the wall-time
+#: attribution sum and reported separately.
+CONCURRENT_ROOTS: tuple[str, ...] = ("worker", "thread")
 
 
-class PhaseProfiler:
-    """Accumulates inclusive wall seconds per hierarchical phase path.
+def span_rows(events: Iterable[dict]) -> list[tuple[PhasePath, int, float]]:
+    """Fold trace events into ``(path, count, seconds)`` rows, sorted by path.
 
-    Single-threaded by design on the recording side: each process
-    (parent or worker) owns one profiler, and the hot loops flush into it
-    from one thread.  The exception is :meth:`absorb`, which the parent's
-    engine calls from concurrent dispatch threads as worker replies
-    arrive — it takes a lock; the hot-path :meth:`add` stays lock-free.
-    The nesting stack belongs to :meth:`phase`; :meth:`add` takes
-    absolute or stack-relative paths and is what the inlined kernels use.
+    A span's path is its ancestors' names followed by its own, read from
+    the ``id``/``parent`` links in ``args`` (keyed by ``(pid, id)``: every
+    process numbers its spans from 1).  Spans recorded by another process
+    than the caller's go under a ``worker`` root; spans rooted on another
+    thread than the caller's go under a ``thread`` root.  A span whose
+    parent is not among ``events`` counts as a root.  ``count`` sums each
+    span's ``count`` argument — the sweep loops carry their item count,
+    so per-call time is per post and per link — or 1 for spans without
+    one; ``seconds`` sums durations.
     """
+    pid = os.getpid()
+    tid = threading.get_ident()
+    by_key = {(event["pid"], event["args"]["id"]): event for event in events}
+    paths: dict[tuple[int, int], PhasePath] = {}
 
-    def __init__(self) -> None:
-        self._phases: dict[PhasePath, list[float]] = {}
-        self._stack: list[str] = []
-        self._absorb_lock = threading.Lock()
+    def path_of(key: tuple[int, int]) -> PhasePath:
+        path = paths.get(key)
+        if path is None:
+            event = by_key[key]
+            parent = (key[0], event["args"].get("parent"))
+            if parent in by_key:
+                path = path_of(parent) + (event["name"],)
+            elif key[0] != pid:
+                path = ("worker", event["name"])
+            elif event["tid"] != tid:
+                path = ("thread", event["name"])
+            else:
+                path = (event["name"],)
+            paths[key] = path
+        return path
 
-    def add(
-        self,
-        path: str | PhasePath,
-        seconds: float,
-        count: int = 1,
-        relative: bool = False,
-    ) -> None:
-        """Record ``seconds`` of inclusive time under ``path``.
-
-        ``relative=True`` prefixes the current :meth:`phase` stack, which
-        is how the profiled sweep nests under a worker's ``shard`` phase
-        without knowing whether it runs in a worker at all.
-        """
-        if isinstance(path, str):
-            path = (path,)
-        if relative and self._stack:
-            path = tuple(self._stack) + tuple(path)
-        cell = self._phases.get(path)
-        if cell is None:
-            self._phases[path] = [float(count), float(seconds)]
-        else:
-            cell[0] += count
-            cell[1] += seconds
-
-    def current_path(self) -> PhasePath:
-        """The open :meth:`phase` nesting as a path prefix."""
-        return tuple(self._stack)
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time a nested phase; inclusive of any phases opened inside it."""
-        self._stack.append(name)
-        path = tuple(self._stack)
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self._stack.pop()
-            self.add(path, elapsed)
-
-    def items(self) -> list[tuple[PhasePath, int, float]]:
-        """``(path, count, seconds)`` triples, sorted by path."""
-        return [
-            (path, int(cell[0]), cell[1])
-            for path, cell in sorted(self._phases.items())
-        ]
-
-    def seconds(self, path: str | PhasePath) -> float:
-        if isinstance(path, str):
-            path = (path,)
-        cell = self._phases.get(tuple(path))
-        return cell[1] if cell is not None else 0.0
-
-    def snapshot(self) -> list[list[object]]:
-        """Picklable ``[[path...], count, seconds]`` rows (worker → parent)."""
-        return [
-            [list(path), int(cell[0]), cell[1]]
-            for path, cell in sorted(self._phases.items())
-        ]
-
-    def drain(self) -> list[list[object]]:
-        """:meth:`snapshot` then reset — one shard's worth per reply."""
-        rows = self.snapshot()
-        self._phases.clear()
-        return rows
-
-    def absorb(
-        self,
-        rows: Iterable[Iterable[object]],
-        prefix: str | PhasePath = (),
-    ) -> None:
-        """Fold a :meth:`drain`/:meth:`snapshot` payload into this profiler."""
-        if isinstance(prefix, str):
-            prefix = (prefix,)
-        prefix = tuple(prefix)
-        with self._absorb_lock:
-            for row in rows:
-                path, count, seconds = row
-                self.add(prefix + tuple(path), float(seconds), count=int(count))
-
-    def clear(self) -> None:
-        self._phases.clear()
-
-    def __len__(self) -> int:
-        return len(self._phases)
-
-
-_active: PhaseProfiler | None = None
-
-
-def set_profiler(profiler: PhaseProfiler | None) -> PhaseProfiler | None:
-    """Install ``profiler`` as the process-wide active profiler.
-
-    Returns the previously active profiler so callers can restore it.
-    ``None`` turns profiling off (the default).
-    """
-    global _active
-    previous = _active
-    _active = profiler
-    return previous
-
-
-def get_profiler() -> PhaseProfiler | None:
-    """The active profiler, or ``None`` when profiling is off."""
-    return _active
-
-
-@contextmanager
-def _null_phase() -> Iterator[None]:
-    yield
-
-
-def phase(name: str) -> object:
-    """Context manager timing ``name`` on the active profiler; no-op when off.
-
-    For per-superstep granularity (cache builds, merges, dispatch).  The
-    sweep interior never calls this — it batches into locals instead.
-    """
-    profiler = _active
-    if profiler is None:
-        return _null_phase()
-    return profiler.phase(name)
+    cells: dict[PhasePath, list[float]] = {}
+    for key, event in by_key.items():
+        cell = cells.setdefault(path_of(key), [0, 0.0])
+        cell[0] += event["args"].get("count", 1)
+        cell[1] += event["dur"] / 1e6
+    return [
+        (path, int(count), seconds)
+        for path, (count, seconds) in sorted(cells.items())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -261,33 +155,26 @@ def parse_phase_key(key: str) -> PhasePath:
 def _self_seconds(
     rows: list[tuple[PhasePath, int, float]],
 ) -> list[tuple[PhasePath, float]]:
-    """Inclusive → self time: each node minus its direct recorded children.
+    """Inclusive → self time: each node minus its direct children.
 
-    Negative self time (timer jitter, or a child recorded without its
-    parent's full window) clamps to zero so flamegraph tools never see a
+    Negative self time (timer jitter: a child's rounded duration can
+    exceed its parent's) clamps to zero so flamegraph tools never see a
     negative sample; the conservation property in the tests allows for
     the clamp plus integer rounding.
     """
     inclusive = {path: seconds for path, _count, seconds in rows}
     child_sum: dict[PhasePath, float] = {}
-    for path in inclusive:
-        # Charge each node to its *nearest recorded* ancestor: the tree
-        # may skip levels (the sweep records ``sweep;posts;resample``
-        # without a ``sweep;posts`` aggregate).
-        for cut in range(len(path) - 1, 0, -1):
-            ancestor = path[:cut]
-            if ancestor in inclusive:
-                child_sum[ancestor] = (
-                    child_sum.get(ancestor, 0.0) + inclusive[path]
-                )
-                break
+    for path, seconds in inclusive.items():
+        parent = path[:-1]
+        if parent in inclusive:
+            child_sum[parent] = child_sum.get(parent, 0.0) + seconds
     return [
         (path, max(0.0, seconds - child_sum.get(path, 0.0)))
         for path, seconds in inclusive.items()
     ]
 
 
-def render_collapsed(profiler: PhaseProfiler) -> str:
+def render_collapsed(tracer: Tracer) -> str:
     """Collapsed-stack lines (``a;b;c <microseconds>``), self-time valued.
 
     Feed the output straight to ``flamegraph.pl`` / speedscope.  Values
@@ -295,7 +182,7 @@ def render_collapsed(profiler: PhaseProfiler) -> str:
     recovers (to rounding) the total of the root phases.
     """
     lines = []
-    for path, self_s in sorted(_self_seconds(profiler.items())):
+    for path, self_s in sorted(_self_seconds(span_rows(tracer.events))):
         micros = int(round(self_s * 1e6))
         if micros <= 0:
             continue
@@ -328,36 +215,31 @@ def parse_collapsed(text: str) -> dict[PhasePath, int]:
 
 
 def build_profile_report(
-    profiler: PhaseProfiler,
+    tracer: Tracer,
     total_wall_seconds: float,
     sweeps: int,
 ) -> dict:
-    """Aggregate a profiler into the per-sweep phase-attribution report.
+    """Aggregate a tracer's spans into the per-sweep attribution report.
 
     ``total_wall_seconds`` is the harness-measured wall time the phases
-    should account for.  *Leaf* phases (no recorded descendant) outside
-    the :data:`CONCURRENT_ROOTS` trees are the attribution set — parents
-    double-count their children, and worker phases overlap the parent's
-    dispatch window, so neither belongs in the sum.  Worker trees get
-    their own ``worker_attributed_fraction`` against the workers' own
-    ``shard`` wall.
+    should account for.  *Leaf* phases (no recorded child) outside the
+    :data:`CONCURRENT_ROOTS` trees are the attribution set — parents
+    double-count their children, and worker and thread phases overlap
+    the parent's dispatch window, so neither belongs in the sum.  Worker
+    trees get their own ``worker_attributed_fraction`` against the
+    workers' own shard wall.  ``dropped_events`` counts spans the
+    tracer's ``max_events`` bound discarded; when it is non-zero the
+    report is incomplete and its shares undercount.
     """
-    rows = profiler.items()
-    paths = {path for path, _c, _s in rows}
-
-    def is_leaf(path: PhasePath) -> bool:
-        probe = len(path)
-        return not any(
-            len(other) > probe and other[:probe] == path for other in paths
-        )
-
+    rows = span_rows(tracer.events)
+    parents = {path[:-1] for path, _c, _s in rows}
     phases = []
     attributed = 0.0
     worker_leaf = 0.0
     worker_root = 0.0
     for path, count, seconds in rows:
         concurrent = path[0] in CONCURRENT_ROOTS
-        leaf = is_leaf(path)
+        leaf = path not in parents
         phases.append(
             {
                 "phase": phase_key(path),
@@ -373,12 +255,12 @@ def build_profile_report(
                 "concurrent": concurrent,
             }
         )
-        if concurrent:
-            if len(path) == 2:  # ("worker", "shard")-style subtree root
+        if path[0] == "worker":
+            if len(path) == 2:  # one worker's shard span
                 worker_root += seconds
             if leaf:
                 worker_leaf += seconds
-        elif leaf:
+        elif leaf and not concurrent:
             attributed += seconds
     phases.sort(key=lambda row: row["seconds"], reverse=True)
     report = {
@@ -394,6 +276,7 @@ def build_profile_report(
             else 0.0
         ),
         "phases": phases,
+        "dropped_events": tracer.dropped_events,
     }
     if worker_root > 0:
         report["worker_attributed_fraction"] = round(
@@ -432,6 +315,11 @@ def render_profile_report(report: dict) -> str:
             "worker shards (concurrent, marked *): "
             f"{report['worker_attributed_fraction'] * 100:.1f}% of shard wall "
             "attributed"
+        )
+    if report.get("dropped_events"):
+        lines.append(
+            f"incomplete: the tracer dropped {report['dropped_events']} "
+            "span(s) past its max_events bound; shares undercount"
         )
     return "\n".join(lines)
 

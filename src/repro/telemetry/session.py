@@ -28,7 +28,7 @@ import math
 import time
 from pathlib import Path
 
-from . import logconfig, profiler, tracing
+from . import logconfig, tracing
 from .manifest import MANIFEST_NAME, write_run_manifest
 from .metrics import JsonlWriter, MetricsRegistry
 
@@ -208,41 +208,32 @@ class TelemetrySession:
 
     # -- worker-process integration -----------------------------------------
 
-    def worker_config(self) -> dict:
-        """The picklable knobs a worker process needs to mirror telemetry.
+    def _span_sink(self) -> tracing.Tracer | None:
+        """This session's tracer, else the process-wide one (``cold profile``
+        installs a bare tracer with no metrics/trace files at all)."""
+        return self.tracer if self.tracer is not None else tracing.get_tracer()
 
-        ``profile`` rides along independently of ``enabled``: the phase
-        profiler is a process-wide global (see
-        :mod:`repro.telemetry.profiler`), active during ``cold profile``
-        runs that may not configure metrics/trace files at all.
-        """
+    def worker_config(self) -> dict:
+        """The picklable knobs a worker process needs to mirror telemetry."""
         import logging
 
         root = logconfig.get_logger(logconfig.ROOT_LOGGER_NAME)
         level = root.getEffectiveLevel()
         return {
             "enabled": self.enabled,
-            "trace": self.tracer is not None,
-            "profile": profiler.get_profiler() is not None,
+            "trace": self._span_sink() is not None,
             "log_level": level if level != logging.NOTSET else logging.WARNING,
         }
 
     def absorb_worker_payload(self, payload: dict) -> None:
-        """Fold a worker reply's logs, spans and phase profile into this
-        session (the profile goes to the process-wide profiler, prefixed
-        ``worker`` so concurrent shard time stays distinguishable from
-        parent wall time)."""
+        """Fold a worker reply's logs and spans into this session."""
         records = payload.get("logs")
         if records:
             logconfig.replay_records(records)
         spans = payload.get("spans")
-        if spans and self.tracer is not None:
-            self.tracer.extend(spans)
-        profile = payload.get("profile")
-        if profile:
-            active = profiler.get_profiler()
-            if active is not None:
-                active.absorb(profile, prefix="worker")
+        tracer = self._span_sink()
+        if spans and tracer is not None:
+            tracer.extend(spans)
 
 
 #: Shared disabled session for call sites that want a never-None default.

@@ -18,7 +18,9 @@ no-op context manager: one global read and two no-op calls per region,
 cheap enough to leave instrumentation in hot paths at sweep granularity.
 Worker processes run their own :class:`Tracer` and ship drained events
 back over the pool's reply pipe; the parent absorbs them with
-:meth:`Tracer.extend`, so one trace file covers the whole cluster.
+:meth:`Tracer.extend`, so one trace file covers the whole cluster.  The
+same spans feed ``cold profile``'s phase attribution
+(:mod:`repro.telemetry.profiler`).
 """
 
 from __future__ import annotations
@@ -88,8 +90,8 @@ class Tracer:
     form — ``ts``/``dur`` in microseconds, ``pid``/``tid`` identifying the
     process and thread — plus ``id`` / ``parent`` span links in ``args``
     so nesting survives even when timestamps tie.  ``max_events`` bounds
-    memory on very long runs (the oldest half is dropped with a marker
-    event, never silently).
+    memory on very long runs (the oldest half is dropped and counted in
+    :attr:`dropped_events`, never silently).
     """
 
     def __init__(self, max_events: int = 200_000) -> None:
@@ -162,6 +164,11 @@ class Tracer:
     def events(self) -> list[dict]:
         with self._lock:
             return list(self._events)
+
+    @property
+    def dropped_events(self) -> int:
+        """Events discarded by the ``max_events`` bound (0: nothing lost)."""
+        return self._dropped
 
     def to_chrome_trace(self) -> dict:
         """The full buffer as a ``chrome://tracing``-loadable object."""

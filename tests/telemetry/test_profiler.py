@@ -1,13 +1,17 @@
 """Unit tests for the training-plane performance observatory.
 
-Covers the :class:`~repro.telemetry.profiler.PhaseProfiler` accounting
-primitives (nesting, absorb, drain round-trip), the attribution report
-and its collapsed-stack rendering, the bit-identical-draws contract of
-the instrumented kernel twin, and the synthetic-slowdown detection path
+Covers :func:`~repro.telemetry.profiler.span_rows` (parent-link nesting,
+foreign-process and other-thread roots, per-item counts), the
+attribution report and its collapsed-stack rendering, the
+bit-identical-draws contract of traced sweeps, and the
+synthetic-slowdown detection path
 (:func:`~repro.telemetry.profiler.compare_profiles`).
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -17,9 +21,8 @@ from repro.core.gibbs import sweep
 from repro.core.params import Hyperparameters
 from repro.core.state import CountState
 from repro.datasets.synthetic import SyntheticConfig, generate_corpus
-from repro.telemetry import profiler as profiling
+from repro.telemetry import tracing
 from repro.telemetry.profiler import (
-    PhaseProfiler,
     build_profile_report,
     compare_profiles,
     escape_phase,
@@ -27,17 +30,52 @@ from repro.telemetry.profiler import (
     parse_collapsed,
     render_collapsed,
     render_profile_report,
+    span_rows,
     unescape_phase,
     worker_utilization,
 )
+from repro.telemetry.tracing import Tracer
+
+#: A pid no live process of this test run has (pids are positive).
+OTHER_PID = -1
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_profiler():
-    """Every test starts and ends with profiling off."""
-    previous = profiling.set_profiler(None)
+def _no_leaked_tracer():
+    """Every test starts and ends with tracing off."""
+    previous = tracing.set_tracer(None)
     yield
-    profiling.set_profiler(previous)
+    tracing.set_tracer(previous)
+
+
+def span_event(
+    span_id: int,
+    name: str,
+    seconds: float,
+    parent: int | None = None,
+    count: int | None = None,
+    pid: int | None = None,
+) -> dict:
+    """One Chrome 'X' event in the shape :class:`Tracer` records."""
+    args: dict = {"id": span_id, "parent": parent}
+    if count is not None:
+        args["count"] = count
+    return {
+        "name": name,
+        "cat": "repro",
+        "ph": "X",
+        "ts": 0.0,
+        "dur": seconds * 1e6,
+        "pid": os.getpid() if pid is None else pid,
+        "tid": threading.get_ident(),
+        "args": args,
+    }
+
+
+def tracer_of(*events: dict) -> Tracer:
+    tracer = Tracer()
+    tracer.extend(list(events))
+    return tracer
 
 
 def small_corpus(seed: int = 7):
@@ -54,59 +92,82 @@ def small_corpus(seed: int = 7):
     return corpus
 
 
-class TestPhaseProfiler:
-    def test_add_and_items(self):
-        prof = PhaseProfiler()
-        prof.add(("a",), 1.0)
-        prof.add(("a", "b"), 0.25, count=5)
-        prof.add(("a", "b"), 0.25, count=5)
-        assert prof.items() == [
-            (("a",), 1, 1.0),
-            (("a", "b"), 10, 0.5),
+class TestSpanRows:
+    def test_counts_and_seconds_aggregate_by_path(self):
+        rows = span_rows(
+            [
+                span_event(1, "a", 1.0),
+                span_event(2, "b", 0.25, parent=1, count=5),
+                span_event(3, "b", 0.25, parent=1, count=5),
+            ]
+        )
+        assert rows == [(("a",), 1, 1.0), (("a", "b"), 10, 0.5)]
+
+    def test_parent_links_build_paths(self):
+        tracer = Tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                pass
+            with tracer.span("inner"):
+                pass
+        rows = span_rows(tracer.events)
+        assert [(path, count) for path, count, _s in rows] == [
+            (("outer",), 1),
+            (("outer", "inner"), 2),
         ]
-        assert prof.seconds(("a", "b")) == 0.5
-        assert len(prof) == 2
 
-    def test_phase_nesting_builds_paths(self):
-        prof = PhaseProfiler()
-        with prof.phase("outer"):
-            assert prof.current_path() == ("outer",)
-            with prof.phase("inner"):
-                assert prof.current_path() == ("outer", "inner")
-        paths = [path for path, _, _ in prof.items()]
-        assert paths == [("outer",), ("outer", "inner")]
+    def test_parent_links_keyed_by_pid(self):
+        # Every process numbers its spans from 1: a worker's child of its
+        # span 1 must not attach to the parent process's span 1.
+        rows = span_rows(
+            [
+                span_event(1, "superstep", 1.0),
+                span_event(1, "worker_shard", 0.9, pid=OTHER_PID),
+                span_event(2, "fast_sweep", 0.8, parent=1, pid=OTHER_PID),
+            ]
+        )
+        assert [path for path, _c, _s in rows] == [
+            ("superstep",),
+            ("worker", "worker_shard"),
+            ("worker", "worker_shard", "fast_sweep"),
+        ]
 
-    def test_relative_add_prefixes_current_stack(self):
-        prof = PhaseProfiler()
-        with prof.phase("outer"):
-            prof.add(("leaf",), 0.5, relative=True)
-        assert prof.seconds(("outer", "leaf")) == 0.5
+    def test_foreign_pid_spans_go_under_worker(self):
+        rows = span_rows(
+            [
+                span_event(1, "shard", 2.0, pid=OTHER_PID),
+                span_event(2, "sweep", 1.5, parent=1, count=3, pid=OTHER_PID),
+                span_event(1, "shard", 1.0, pid=OTHER_PID - 1),
+            ]
+        )
+        assert rows == [
+            (("worker", "shard"), 2, 3.0),
+            (("worker", "shard", "sweep"), 3, 1.5),
+        ]
 
-    def test_drain_absorb_round_trip(self):
-        worker = PhaseProfiler()
-        worker.add(("shard",), 2.0)
-        worker.add(("shard", "sweep"), 1.5, count=3)
-        rows = worker.drain()
-        assert len(worker) == 0
-        parent = PhaseProfiler()
-        parent.absorb(rows, prefix="worker")
-        assert parent.seconds(("worker", "shard")) == 2.0
-        assert parent.seconds(("worker", "shard", "sweep")) == 1.5
-        # Absorbing a second shard accumulates instead of replacing.
-        parent.absorb([[["shard"], 1, 1.0]], prefix="worker")
-        assert parent.seconds(("worker", "shard")) == 3.0
+    def test_other_thread_roots_are_concurrent(self):
+        tracer = Tracer()
 
-    def test_module_activation(self):
-        assert profiling.get_profiler() is None
-        with profiling.phase("noop"):
-            pass  # null context when off
-        prof = PhaseProfiler()
-        previous = profiling.set_profiler(prof)
-        assert previous is None
-        with profiling.phase("real"):
-            pass
-        assert profiling.get_profiler() is prof
-        assert [path for path, _, _ in prof.items()] == [("real",)]
+        def node() -> None:
+            with tracer.span("node"):
+                pass
+
+        with tracer.span("dispatch"):
+            thread = threading.Thread(target=node)
+            thread.start()
+            thread.join()
+        paths = [path for path, _c, _s in span_rows(tracer.events)]
+        assert paths == [("dispatch",), ("thread", "node")]
+        report = build_profile_report(tracer, total_wall_seconds=1.0, sweeps=1)
+        node = next(p for p in report["phases"] if p["phase"] == "thread;node")
+        assert node["concurrent"] is True
+        dispatch = next(p for p in report["phases"] if p["phase"] == "dispatch")
+        assert report["attributed_seconds"] == dispatch["seconds"]
+        assert "%*" in render_profile_report(report)
+
+    def test_span_with_missing_parent_is_a_root(self):
+        rows = span_rows([span_event(5, "orphan", 0.1, parent=4)])
+        assert rows == [(("orphan",), 1, 0.1)]
 
 
 class TestEscaping:
@@ -122,21 +183,23 @@ class TestEscaping:
 
 class TestCollapsed:
     def test_self_time_conserved_with_skipped_levels(self):
-        # The sweep kernel records a;b;c without an intermediate a;b node
-        # — self time must charge to the nearest *recorded* ancestor.
-        prof = PhaseProfiler()
-        prof.add(("root",), 1.0)
-        prof.add(("root", "x", "deep"), 0.3)
-        prof.add(("root", "y"), 0.2)
-        parsed = parse_collapsed(render_collapsed(prof))
+        # The synthetic ``worker`` root is a skipped level: it has no
+        # recorded row, and self time below it must still conserve.
+        tracer = tracer_of(
+            span_event(1, "root", 1.0, pid=OTHER_PID),
+            span_event(2, "deep", 0.3, parent=1, pid=OTHER_PID),
+            span_event(3, "y", 0.2, parent=1, pid=OTHER_PID),
+        )
+        parsed = parse_collapsed(render_collapsed(tracer))
         assert sum(parsed.values()) == 1_000_000
-        assert parsed[("root",)] == 500_000
+        assert parsed[("worker", "root")] == 500_000
 
     def test_negative_self_clamped(self):
-        prof = PhaseProfiler()
-        prof.add(("root",), 1.0)
-        prof.add(("root", "a"), 1.2)  # timer jitter: child > parent
-        parsed = parse_collapsed(render_collapsed(prof))
+        tracer = tracer_of(
+            span_event(1, "root", 1.0),
+            span_event(2, "a", 1.2, parent=1),  # timer jitter: child > parent
+        )
+        parsed = parse_collapsed(render_collapsed(tracer))
         # Clamped-to-zero self time renders no line at all (flamegraph
         # tools reject zero/negative samples).
         assert ("root",) not in parsed
@@ -147,48 +210,73 @@ class TestCollapsed:
         assert parse_collapsed(text) == {("a", "b"): 100, ("c",): 5}
 
 
+def sweep_spans(posts_seconds: float, links_seconds: float) -> list[dict]:
+    """Three traced sweeps of 100 posts and 100 links each."""
+    events = []
+    for sweep_index in range(3):
+        base = 3 * sweep_index
+        events += [
+            span_event(base + 1, "fast_sweep", 0.3),
+            span_event(base + 2, "posts", posts_seconds / 3, base + 1, 100),
+            span_event(base + 3, "links", links_seconds / 3, base + 1, 100),
+        ]
+    return events
+
+
 class TestReport:
     def test_report_and_render(self):
-        prof = PhaseProfiler()
-        prof.add(("sweep",), 0.9, count=3)
-        prof.add(("sweep", "posts", "resample"), 0.6, count=300)
-        prof.add(("sweep", "posts", "draw"), 0.25, count=300)
-        report = build_profile_report(prof, total_wall_seconds=1.0, sweeps=3)
+        tracer = tracer_of(*sweep_spans(0.6, 0.25))
+        report = build_profile_report(tracer, total_wall_seconds=1.0, sweeps=3)
         assert report["sweeps"] == 3
         assert report["attributed_fraction"] == pytest.approx(0.85)
+        assert report["dropped_events"] == 0
         leaves = {p["phase"] for p in report["phases"] if p["leaf"]}
-        assert leaves == {"sweep;posts;resample", "sweep;posts;draw"}
+        assert leaves == {"fast_sweep;posts", "fast_sweep;links"}
+        posts = next(
+            p for p in report["phases"] if p["phase"] == "fast_sweep;posts"
+        )
+        # The loop span's count makes per-call time per post.
+        assert posts["count"] == 300
+        assert posts["per_call_us"] == pytest.approx(2000.0)
         text = render_profile_report(report)
-        assert "sweep;posts;resample" in text
+        assert "fast_sweep;posts" in text
         assert "attributed 85" in text
+        assert "incomplete" not in text
 
     def test_concurrent_worker_trees_excluded_from_parent(self):
-        prof = PhaseProfiler()
-        prof.add(("dispatch",), 0.5)
-        prof.add(("worker", "shard"), 0.9)
-        prof.add(("worker", "shard", "sweep"), 0.8)
-        report = build_profile_report(prof, total_wall_seconds=0.5, sweeps=1)
+        tracer = tracer_of(
+            span_event(1, "dispatch", 0.5),
+            span_event(1, "shard", 0.9, pid=OTHER_PID),
+            span_event(2, "sweep", 0.8, parent=1, pid=OTHER_PID),
+        )
+        report = build_profile_report(tracer, total_wall_seconds=0.5, sweeps=1)
         # Parent attribution counts dispatch only; worker time overlaps it.
         assert report["attributed_fraction"] == pytest.approx(1.0)
         assert report["worker_attributed_fraction"] == pytest.approx(
             0.8 / 0.9, rel=1e-3
         )
 
+    def test_dropped_events_mark_report_incomplete(self):
+        tracer = Tracer(max_events=4)
+        for _ in range(10):
+            with tracer.span("fast_sweep"):
+                pass
+        assert tracer.dropped_events > 0
+        report = build_profile_report(tracer, total_wall_seconds=1.0, sweeps=10)
+        assert report["dropped_events"] == tracer.dropped_events
+        assert "incomplete" in render_profile_report(report)
+
     def test_compare_profiles_flags_synthetic_slowdown(self):
-        baseline = PhaseProfiler()
-        current = PhaseProfiler()
-        for prof in (baseline, current):
-            prof.add(("sweep", "posts", "draw"), 0.2, count=100)
-        baseline.add(("sweep", "posts", "resample"), 0.4, count=100)
-        current.add(("sweep", "posts", "resample"), 0.8, count=100)  # 2x
-        base_report = build_profile_report(baseline, 0.7, 1)
-        cur_report = build_profile_report(current, 1.1, 1)
+        baseline = tracer_of(*sweep_spans(0.4, 0.2))
+        current = tracer_of(*sweep_spans(0.8, 0.2))  # posts 2x slower
+        base_report = build_profile_report(baseline, 0.7, 3)
+        cur_report = build_profile_report(current, 1.1, 3)
         verdicts = {
             row["phase"]: row["verdict"]
             for row in compare_profiles(cur_report, base_report)
         }
-        assert verdicts["sweep;posts;resample"] == "regressed"
-        assert verdicts["sweep;posts;draw"] == "ok"
+        assert verdicts["fast_sweep;posts"] == "regressed"
+        assert verdicts["fast_sweep;links"] == "ok"
 
 
 class TestKernelInstrumentation:
@@ -200,14 +288,12 @@ class TestKernelInstrumentation:
             state = CountState.initialize(corpus, 3, 4, rng)
             hp = Hyperparameters.default(3, 4, corpus)
             cache = SweepCache(state, hp)
-            previous = profiling.set_profiler(
-                PhaseProfiler() if enabled else None
-            )
+            previous = tracing.set_tracer(Tracer() if enabled else None)
             try:
                 for _ in range(3):
                     sweep(state, hp, rng, cache=cache)
             finally:
-                profiling.set_profiler(previous)
+                tracing.set_tracer(previous)
             states.append(state)
         dark, lit = states
         assert np.array_equal(dark.post_comm, lit.post_comm)
@@ -220,16 +306,33 @@ class TestKernelInstrumentation:
         state = CountState.initialize(corpus, 3, 4, rng)
         hp = Hyperparameters.default(3, 4, corpus)
         cache = SweepCache(state, hp)
-        prof = PhaseProfiler()
-        previous = profiling.set_profiler(prof)
+        tracer = Tracer()
+        previous = tracing.set_tracer(tracer)
         try:
             sweep(state, hp, rng, cache=cache)
         finally:
-            profiling.set_profiler(previous)
-        paths = {path for path, _, _ in prof.items()}
-        assert ("sweep",) in paths
-        assert ("sweep", "posts", "resample") in paths
-        assert ("sweep", "links", "draw") in paths
+            tracing.set_tracer(previous)
+        counts = {path: count for path, count, _s in span_rows(tracer.events)}
+        assert counts == {
+            ("fast_sweep",): 1,
+            ("fast_sweep", "posts"): state.num_posts,
+            ("fast_sweep", "links"): state.num_links,
+        }
+
+    def test_cache_build_and_refresh_open_one_span_each(self):
+        corpus = small_corpus()
+        rng = np.random.default_rng(3)
+        state = CountState.initialize(corpus, 3, 4, rng)
+        hp = Hyperparameters.default(3, 4, corpus)
+        tracer = Tracer()
+        previous = tracing.set_tracer(tracer)
+        try:
+            cache = SweepCache(state, hp)
+            assert [e["name"] for e in tracer.drain()] == ["sweepcache.build"]
+            cache.refresh(state)
+            assert [e["name"] for e in tracer.drain()] == ["sweepcache.refresh"]
+        finally:
+            tracing.set_tracer(previous)
 
 
 class TestGauges:

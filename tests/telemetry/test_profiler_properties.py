@@ -5,7 +5,7 @@ and tools, and both must survive adversarial names and crash-torn files:
 
 * the collapsed-stack text (``cold profile --collapsed``) — phase names
   containing ``;``, whitespace, or ``%`` must encode unambiguously, and
-  the rendered self times must conserve the recorded root totals;
+  the self times rendered from a span tree must conserve its root totals;
 * the benchmark regression ledger (``benchmarks/history.jsonl``) — an
   append-crash mid-record may not corrupt earlier entries or invent new
   ones.
@@ -13,30 +13,39 @@ and tools, and both must survive adversarial names and crash-torn files:
 
 from __future__ import annotations
 
+import os
+import threading
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perf import append_history, read_history
 from repro.telemetry.profiler import (
-    PhaseProfiler,
     escape_phase,
     parse_collapsed,
     parse_phase_key,
     phase_key,
     render_collapsed,
+    span_rows,
     unescape_phase,
 )
+from repro.telemetry.tracing import Tracer
 
 #: Phase names including every reserved character of the collapsed format.
 _NAMES = st.text(
     alphabet=st.sampled_from(list("ab%; \t\n\r0")), min_size=1, max_size=8
 )
 
-_PATHS = st.lists(
-    st.lists(_NAMES, min_size=1, max_size=4).map(tuple),
+#: A span tree as ``(name, parent pick, microseconds)`` per span: span
+#: ``i`` nests under span ``pick`` when ``pick < i``, else it is a root.
+_TREES = st.lists(
+    st.tuples(
+        _NAMES,
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=1, max_value=100_000_000),
+    ),
     min_size=1,
     max_size=8,
-    unique=True,
 )
 
 
@@ -58,52 +67,52 @@ def test_phase_key_round_trips(path):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    paths=_PATHS,
-    seconds=st.lists(
-        st.floats(min_value=1e-6, max_value=100.0, allow_nan=False),
-        min_size=8,
-        max_size=8,
-    ),
-)
-def test_collapsed_conserves_root_totals(paths, seconds):
-    """Self-time lines sum back to the inclusive time of the roots.
+@given(tree=_TREES)
+def test_collapsed_conserves_root_totals(tree):
+    """Self-time lines sum back to the inclusive time of the root spans.
 
-    Only *roots* (paths with no recorded ancestor) carry conserved mass:
-    descendants' inclusive time is subtracted from their nearest recorded
-    ancestor, so everything below a root redistributes within it.  Trees
-    are generated to honour the nested-timer invariant — the descendants
-    charged to one ancestor never sum past its inclusive time (real
-    phases are disjoint in time under their parent) — so no clamping
-    occurs and conservation is exact up to 1µs rounding per path.
+    Only *roots* carry conserved mass: each span's inclusive time is
+    subtracted from its parent's, so everything below a root
+    redistributes within it.  Trees are generated to honour the
+    nested-timer invariant — a span's children never sum past its own
+    duration (real spans are disjoint in time under their parent) — so
+    no clamping occurs and conservation is exact up to 1µs rounding per
+    path, even where same-named siblings fold into one path.
     """
-    prof = PhaseProfiler()
-    # Depth-first budget assignment: each node draws from its nearest
-    # recorded ancestor's *remaining* budget, so siblings can never
-    # oversubscribe the parent.
-    inclusive: dict[tuple, float] = {}
-    remaining: dict[tuple, float] = {}
-    for path, raw in zip(sorted(paths, key=len), seconds):
-        budget = raw
-        for cut in range(len(path) - 1, 0, -1):
-            ancestor = path[:cut]
-            if ancestor in inclusive:
-                budget = min(budget, remaining[ancestor])
-                remaining[ancestor] -= budget
-                break
-        inclusive[path] = budget
-        remaining[path] = budget
-        prof.add(path, budget)
-    parsed = parse_collapsed(render_collapsed(prof))
-    roots = [
-        path
-        for path in inclusive
-        if not any(path[:cut] in inclusive for cut in range(1, len(path)))
-    ]
-    root_micros = sum(int(round(inclusive[p] * 1e6)) for p in roots)
-    assert abs(sum(parsed.values()) - root_micros) <= len(inclusive)
+    pid, tid = os.getpid(), threading.get_ident()
+    events = []
+    remaining: dict[int, int] = {}
+    root_micros = 0
+    for index, (name, pick, raw) in enumerate(tree):
+        parent = pick if pick < index else None
+        micros = raw
+        if parent is None:
+            root_micros += micros
+        else:
+            micros = min(raw, remaining[parent])
+            remaining[parent] -= micros
+        remaining[index] = micros
+        events.append(
+            {
+                "name": name,
+                "ph": "X",
+                "ts": 0.0,
+                "dur": float(micros),
+                "pid": pid,
+                "tid": tid,
+                "args": {
+                    "id": index + 1,
+                    "parent": None if parent is None else parent + 1,
+                },
+            }
+        )
+    tracer = Tracer()
+    tracer.extend(events)
+    paths = {path for path, _c, _s in span_rows(events)}
+    parsed = parse_collapsed(render_collapsed(tracer))
+    assert abs(sum(parsed.values()) - root_micros) <= len(paths)
     for path in parsed:
-        assert path in inclusive
+        assert path in paths
 
 
 @settings(max_examples=50, deadline=None)

@@ -291,12 +291,17 @@ class TestCLIAliases:
         from repro.cli import main
 
         path = tmp_path / "bench.json"
+        history = tmp_path / "history.jsonl"
         code = main(
             ["bench", str(path), "--cases", "smoke", "--warmup", "1",
-             "--reps", "1", "--sweeps-per-rep", "1"]
+             "--reps", "1", "--sweeps-per-rep", "1",
+             "--history", str(history)]
         )
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload["cases"][0]["name"] == "smoke"
         assert payload["cases"][0]["draws_match"] is True
         assert "speedup" in capsys.readouterr().out
+        # The run lands in the given ledger, never the committed one.
+        (row,) = history.read_text().splitlines()
+        assert json.loads(row)["kind"] == "bench"

@@ -150,7 +150,7 @@ class TestProfile:
         assert code == 0
         out = capsys.readouterr().out
         assert "attributed" in out
-        assert "sweep;posts;resample" in out
+        assert "fast_sweep;posts" in out
         import json as json_module
 
         record = json_module.loads(json_out.read_text())

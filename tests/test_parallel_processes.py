@@ -210,16 +210,19 @@ class TestUtilizationTelemetry:
             assert record["major_page_faults"] >= 0
 
     def test_profiled_parallel_fit_matches_dark(self, tiny_corpus):
-        from repro.telemetry import profiler as profiling
+        from repro.telemetry import tracing
+        from repro.telemetry.profiler import span_rows
 
         dark = _fit(tiny_corpus, "processes", num_workers=2)
-        previous = profiling.set_profiler(profiling.PhaseProfiler())
+        tracer = tracing.Tracer()
+        previous = tracing.set_tracer(tracer)
         try:
             lit = _fit(tiny_corpus, "processes", num_workers=2)
         finally:
-            prof = profiling.set_profiler(previous)
+            tracing.set_tracer(previous)
         _assert_same_chain(dark, lit)
-        # Worker shard phases came home over the reply pipe.
+        # Worker shard spans came home over the reply pipe.
         assert any(
-            path[:2] == ("worker", "shard") for path, _c, _s in prof.items()
+            path[:2] == ("worker", "worker_shard")
+            for path, _c, _s in span_rows(tracer.events)
         )
