@@ -16,20 +16,22 @@ from __future__ import annotations
 
 import pytest
 
-from repro.perf import MEDIUM, run_diagnostics_overhead_case
+from repro.perf import MEDIUM, run_overhead_case
 
 pytestmark = pytest.mark.perf
 
 
 def test_medium_case_overhead_under_5_percent():
-    record = run_diagnostics_overhead_case(MEDIUM, sweeps=20, reps=4, stride=10)
+    record = run_overhead_case(
+        MEDIUM, "diagnostics", sweeps=20, reps=4, stride=10
+    )
     assert record["draws_match"], "quality streaming changed the drawn chain"
     if record["overhead_fraction"] >= 0.05:
         # A contended host can starve one mode of a quiet window even
         # with interleaved reps; escalate to more samples once before
         # declaring a real regression.
-        record = run_diagnostics_overhead_case(
-            MEDIUM, sweeps=20, reps=8, stride=10
+        record = run_overhead_case(
+            MEDIUM, "diagnostics", sweeps=20, reps=8, stride=10
         )
     assert record["overhead_fraction"] < 0.05, (
         f"quality streaming costs {record['overhead_fraction']:.1%} per "

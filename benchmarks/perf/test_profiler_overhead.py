@@ -22,19 +22,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.perf import MEDIUM, run_profile_case, run_profiler_overhead_case
+from repro.perf import MEDIUM, run_profile_case, run_overhead_case
 
 pytestmark = pytest.mark.perf
 
 
 def test_medium_case_overhead_under_3_percent():
-    record = run_profiler_overhead_case(MEDIUM, sweeps=8, reps=6)
+    record = run_overhead_case(MEDIUM, "tracer", sweeps=8, reps=6)
     assert record["draws_match"], "profiling changed the drawn chain"
     if record["overhead_fraction"] >= 0.03:
         # A contended host can starve one mode of a quiet window even
         # with interleaved reps; escalate to more samples once before
         # declaring a real regression.
-        record = run_profiler_overhead_case(MEDIUM, sweeps=8, reps=12)
+        record = run_overhead_case(MEDIUM, "tracer", sweeps=8, reps=12)
     assert record["overhead_fraction"] < 0.03, (
         f"profiling costs {record['overhead_fraction']:.1%} per sweep "
         f"({record['off_seconds_per_sweep']:.4f}s dark -> "

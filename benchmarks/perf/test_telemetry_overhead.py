@@ -15,19 +15,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.perf import MEDIUM, run_telemetry_overhead_case
+from repro.perf import MEDIUM, run_overhead_case
 
 pytestmark = pytest.mark.perf
 
 
 def test_medium_case_overhead_under_3_percent():
-    record = run_telemetry_overhead_case(MEDIUM, sweeps=8, reps=6)
+    record = run_overhead_case(MEDIUM, "telemetry", sweeps=8, reps=6)
     assert record["draws_match"], "telemetry changed the drawn chain"
     if record["overhead_fraction"] >= 0.03:
         # A contended host can starve one mode of a quiet window even
         # with interleaved reps; escalate to more samples once before
         # declaring a real regression.
-        record = run_telemetry_overhead_case(MEDIUM, sweeps=8, reps=12)
+        record = run_overhead_case(MEDIUM, "telemetry", sweeps=8, reps=12)
     assert record["overhead_fraction"] < 0.03, (
         f"telemetry costs {record['overhead_fraction']:.1%} per sweep "
         f"({record['off_seconds_per_sweep']:.4f}s dark -> "

@@ -12,10 +12,10 @@ Subcommands mirror the lifecycle of a COLD study:
 * ``report``    — the full analysis report (all Fig. 5-16 analyses);
 * ``predict``   — time-stamp prediction accuracy of a trained model on a
   held-out corpus slice;
-* ``bench``     — the Gibbs sweep benchmark (reference vs fast kernels),
-  written as ``BENCH_gibbs.json``; with ``--parallel``, the parallel
-  scaling benchmark over cluster nodes, written as
-  ``BENCH_parallel.json``;
+* ``bench``     — one suite of :data:`repro.perf.SUITES`: the Gibbs sweep
+  benchmark (reference vs fast kernels, ``BENCH_gibbs.json``) by
+  default, or ``--parallel`` / ``--diagnostics`` / ``--serving`` /
+  ``--streaming``, each written to its own ``BENCH_<suite>.json``;
 * ``profile``   — phase-attribute sweep wall time with the training-plane
   performance observatory (:mod:`repro.telemetry.profiler`): attribution
   table, collapsed-stack output for flamegraphs, worker utilization and
@@ -1060,164 +1060,52 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         MEDIUM,
         PACKED_SCALES,
         SMOKE,
-        write_benchmark,
-        write_diagnostics_benchmark,
-        write_parallel_benchmark,
-        write_serving_benchmark,
-        write_streaming_benchmark,
+        SUITES,
+        packed_summary,
+        resolve_baseline,
+        write_suite,
     )
 
-    exclusive = [args.parallel, args.diagnostics, args.serving, args.streaming]
-    if sum(exclusive) > 1:
+    chosen = [name for name in SUITES if getattr(args, name, False)]
+    if len(chosen) > 1:
         raise TelemetryError(
             "--parallel, --diagnostics, --serving, and --streaming are "
             "exclusive"
         )
     if args.packed_large and not args.parallel:
         raise TelemetryError("--packed-large requires --parallel")
+    name = chosen[0] if chosen else "gibbs"
+    suite = SUITES[name]
     available = {"smoke": SMOKE, "medium": MEDIUM}
-    case_names = args.cases
-    if case_names is None:
-        case_names = (
-            ["medium"] if args.parallel or args.diagnostics or args.streaming
-            else ["smoke", "medium"]
-        )
-    cases = tuple(available[name] for name in dict.fromkeys(case_names))
-    output = args.output
-    if output is None:
-        if args.parallel:
-            output = Path("BENCH_parallel.json")
-        elif args.diagnostics:
-            output = Path("BENCH_diagnostics.json")
-        elif args.serving:
-            output = Path("BENCH_serving.json")
-        elif args.streaming:
-            output = Path("BENCH_streaming.json")
-        else:
-            output = Path("BENCH_gibbs.json")
+    cases = suite.cases
+    if args.cases is not None:
+        cases = tuple(available[case] for case in dict.fromkeys(args.cases))
+    output = args.output if args.output is not None else Path(suite.output)
     baseline = None
     if args.compare:
         # Read the baseline *before* the run overwrites the snapshot at
-        # the output path (the default baseline when no --baseline given).
-        from .perf import resolve_baseline
-
-        baseline = resolve_baseline(args.baseline, output)
+        # the output path (the default baseline when no --baseline given);
+        # from a ledger, only this suite's records qualify.
+        baseline = resolve_baseline(
+            args.baseline, output, benchmark=suite.benchmark
+        )
     print(f"benchmarking {len(cases)} case(s): {', '.join(c.name for c in cases)}")
-
-    if args.streaming:
-        payload = write_streaming_benchmark(
-            output,
-            cases=cases,
-            num_updates=args.updates,
-            bootstrap_fraction=args.bootstrap_fraction,
-        )
-        for record in payload["cases"]:
-            print(
-                f"{record['name']:>8}: "
-                f"{record['mean_update_seconds']*1e3:.1f}ms per update vs "
-                f"{record['refit_seconds']*1e3:.1f}ms full refit, "
-                f"speedup {record['speedup']:.1f}x, "
-                f"equivalent={record['equivalent']}, "
-                f"peak rss {record['peak_rss_mb']:.0f}MB"
-            )
-        return _bench_finish(payload, output, args, baseline)
-
-    if args.serving:
-        payload = write_serving_benchmark(
-            output,
-            cases=cases,
-            num_requests=args.requests,
-            concurrency=args.concurrency,
-        )
-        for record in payload["cases"]:
-            print(
-                f"{record['name']:>8}: {record['qps']:.0f} qps, "
-                f"p50 {record['p50_ms']:.2f}ms, p99 {record['p99_ms']:.2f}ms, "
-                f"{record['completed']}/{record['num_requests']} ok, "
-                f"{record['errors']} errors, "
-                f"peak rss {record['peak_rss_mb']:.0f}MB"
-            )
-        return _bench_finish(payload, output, args, baseline)
-
-    if args.diagnostics:
-        payload = write_diagnostics_benchmark(
-            output,
-            cases=cases,
-            sweeps=args.sweeps if args.sweeps is not None else 20,
-            reps=args.reps,
-            stride=args.stride,
-            equivalence_sweeps=args.equivalence_sweeps,
-        )
-        for record in payload["cases"]:
-            print(
-                f"{record['name']:>8}: "
-                f"{record['off_seconds_per_sweep']*1e3:.1f}ms plain -> "
-                f"{record['on_seconds_per_sweep']*1e3:.1f}ms streaming "
-                f"at stride {record['stride']}, "
-                f"overhead {record['overhead_fraction']:+.1%}, "
-                f"draws_match={record['draws_match']}, "
-                f"peak rss {record['peak_rss_mb']:.0f}MB"
-            )
-        return _bench_finish(payload, output, args, baseline)
-
-    if args.parallel:
-        payload = write_parallel_benchmark(
-            output,
-            cases=cases,
-            node_counts=tuple(args.nodes),
-            executor=args.executor,
-            num_workers=args.workers,
-            sweeps=args.sweeps if args.sweeps is not None else 5,
-            equivalence_sweeps=args.equivalence_sweeps,
-            packed_scales=PACKED_SCALES if args.packed_large else (),
-        )
-        for record in payload["cases"]:
-            for point in record["scaling"]:
-                print(
-                    f"{record['name']:>8} @ {point['nodes']} node(s): "
-                    f"{point['cluster_seconds_per_sweep']*1e3:.1f}ms cluster "
-                    f"time per sweep, "
-                    f"speedup {point['speedup_vs_1_node']:.2f}x"
-                )
-            print(
-                f"{record['name']:>8}: draws_match={record['draws_match']} "
-                f"({record['executor']} vs simulated at "
-                f"{record['draws_match_nodes']} nodes), "
-                f"peak rss {record['peak_rss_mb']:.0f}MB"
-            )
-        packed = payload.get("packed_scaling")
-        if packed:
-            for point in packed["scaling"]:
-                print(
-                    f"  packed @ {point['users']:>7} users "
-                    f"({point['tokens']} tokens, {point['file_mb']:.1f}MB "
-                    f"file): generate {point['generate_seconds']:.1f}s at "
-                    f"{point['generate_peak_rss_mb']:.0f}MB peak rss, train "
-                    f"{point['wall_seconds_per_sweep']:.2f}s/sweep at "
-                    f"{point['train_peak_rss_mb']:.0f}MB peak rss"
-                )
-            print(
-                f"  packed: draws_match={packed['draws_match']} "
-                f"(mmap processes vs in-RAM simulated at "
-                f"{packed['draws_match_users']} users)"
-            )
-        return _bench_finish(payload, output, args, baseline)
-
-    payload = write_benchmark(
+    settings = {
+        keyword: getattr(args, dest)
+        for keyword, dest in suite.flags.items()
+        if getattr(args, dest) is not None
+    }
+    payload = write_suite(
+        name,
         output,
-        cases=cases,
-        warmup=args.warmup,
-        reps=args.reps,
-        sweeps_per_rep=args.sweeps_per_rep,
+        cases,
+        packed_scales=PACKED_SCALES if args.packed_large else (),
+        **settings,
     )
     for record in payload["cases"]:
-        print(
-            f"{record['name']:>8}: {record['reference_seconds_per_sweep']*1e3:.1f}ms"
-            f" -> {record['fast_seconds_per_sweep']*1e3:.1f}ms per sweep, "
-            f"speedup {record['speedup']:.2f}x, "
-            f"draws_match={record['draws_match']}, "
-            f"peak rss {record['peak_rss_mb']:.0f}MB"
-        )
+        print(suite.summary(record))
+    if "packed_scaling" in payload:
+        print(packed_summary(payload["packed_scaling"]))
     return _bench_finish(payload, output, args, baseline)
 
 

@@ -1,44 +1,35 @@
-"""Gibbs sweep benchmark harness: reference kernels vs the fast path.
+"""Benchmark harness behind ``cold bench``: one suite registry, one writer.
 
-``cold bench`` (see :mod:`repro.cli`) runs this suite and writes
-``BENCH_gibbs.json``, the committed perf artefact EXPERIMENTS.md
-documents.  Each case builds a planted synthetic corpus, warms a chain
-per kernel path, and reports the best-of-``reps`` per-sweep wall time —
-warmed chains and min-of-reps because single-shot sweep timings on a
-busy machine swing by 30%+.
+Each ``cold bench`` suite is one :class:`Suite` in :data:`SUITES` — its
+``benchmark`` title, default ``BENCH_*.json`` snapshot, default cases,
+``method`` block, per-case run function and one-line summary — and
+:func:`write_suite` is the one writer: it stamps the environment, runs
+every case, and atomically writes the payload EXPERIMENTS.md documents.
 
-Two things keep the numbers honest:
+* ``gibbs`` (the default) — :func:`run_case`, reference vs fast kernels;
+* ``parallel`` — :func:`run_parallel_case`, scaling over cluster nodes;
+* ``diagnostics`` — :func:`run_overhead_case`, quality-streaming cost;
+* ``serving`` — :func:`run_serving_case`, QPS and client-side latency;
+* ``streaming`` — :func:`run_streaming_case`, updates vs a full refit.
 
-* **equivalence first** — every case replays a few sweeps through both
-  paths from the same seed and records ``draws_match``; a speedup over
-  kernels that draw a *different* chain would be meaningless.
-* **occupancy alongside** — the fast path's sparse cell iteration gains
-  depend on how concentrated the chain is, so each case reports its
-  (community, topic) occupancy summary via
-  :meth:`~repro.core.state.CountState.top_comm_topic_cells`.
+Two disciplines keep every number honest:
 
-A second suite (``cold bench --parallel``, written as
-``BENCH_parallel.json``) measures the parallel sampler's scaling over
-cluster nodes with a chosen executor, applying the same discipline:
-executor equivalence against the sequential ``simulated`` oracle is
-re-checked on every run and recorded as ``draws_match``.
+* **equivalence first** — each record carries ``draws_match`` from
+  :func:`draws_identical`, which replays two seeded runs (reference vs
+  fast kernels, an executor vs the sequential ``simulated`` oracle, an
+  instrument on vs off, mmap vs in-RAM) and compares their final
+  :class:`~repro.core.state.CountState` bitwise; a speedup over a path
+  that draws a *different* chain would be meaningless.
+* **noise-resistant statistics** — warmed chains and min-of-reps,
+  because single-shot sweep timings on a busy machine swing by 30%+.
 
-A third harness (:func:`run_telemetry_overhead_case`, gated by
-``benchmarks/perf/test_telemetry_overhead.py``) enforces the telemetry
-layer's off-by-default-cheap contract: per-sweep wall time with
-``metrics_out``/``trace_out`` enabled must stay within a few percent of
-a dark fit, and the drawn chain must be bit-identical either way
-(telemetry never consumes RNG).
-
-A fourth harness (:func:`run_diagnostics_overhead_case`, gated by
-``benchmarks/perf/test_diagnostics_overhead.py``, written as
-``BENCH_diagnostics.json`` by ``cold bench --diagnostics``) does the
-same for the quality-streaming diagnostics of :mod:`repro.diagnostics`:
-a stride-10 :class:`~repro.diagnostics.quality.QualityStream` must cost
-under 5% per sweep *amortised* — the statistic is the mean (not min)
-per-sweep time, because the stride concentrates the cost on every tenth
-sweep and a min would simply land on an unmetered one — and the drawn
-chain must again be bit-identical with the stream attached or not.
+:func:`run_overhead_case` is the one ABBA overhead loop behind the
+instrument gates in ``benchmarks/perf/``: ``telemetry`` (``metrics_out``
++ ``trace_out``, < 3%), ``tracer`` (what ``cold profile`` installs,
+< 3%) and ``diagnostics`` (a stride-10 quality stream, < 5%, also the
+``diagnostics`` suite).  It reads the *min* per-sweep time for the first
+two and the *mean* for diagnostics, whose stride concentrates the cost
+on every tenth sweep.
 
 Memory is tracked alongside wall time: every case record carries
 ``peak_rss_mb`` (:func:`peak_rss_mb`, the ``getrusage`` high-water mark).
@@ -52,6 +43,7 @@ peaks are per-point facts, not whichever earlier case was fattest.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import multiprocessing
@@ -60,7 +52,9 @@ import platform
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -79,45 +73,36 @@ from .telemetry.tracing import Tracer, set_tracer
 __all__ = [
     "DEFAULT_COMPARE_THRESHOLD",
     "DEFAULT_HISTORY_PATH",
+    "INSTRUMENTS",
     "MEDIUM",
     "PACKED_SCALES",
     "SMOKE",
+    "SUITES",
     "BenchCase",
+    "Suite",
     "append_history",
     "comparable_metrics",
     "compare_benchmarks",
     "comparison_regressed",
-    "diagnostics_draws_match",
-    "draws_match",
+    "draws_identical",
     "environment_stamp",
+    "instrumented_fit",
     "machine_fingerprint",
     "metric_direction",
-    "packed_draws_match",
     "packed_scale_config",
-    "parallel_draws_match",
+    "packed_summary",
     "peak_rss_mb",
-    "profiler_draws_match",
     "read_history",
     "render_comparison",
     "resolve_baseline",
-    "run_benchmark",
     "run_case",
-    "run_diagnostics_overhead_case",
+    "run_overhead_case",
     "run_packed_scaling_case",
-    "run_parallel_benchmark",
     "run_parallel_case",
     "run_profile_case",
-    "run_profiler_overhead_case",
     "run_serving_case",
-    "run_streaming_benchmark",
     "run_streaming_case",
-    "run_telemetry_overhead_case",
-    "telemetry_draws_match",
-    "write_benchmark",
-    "write_parallel_benchmark",
-    "write_diagnostics_benchmark",
-    "write_serving_benchmark",
-    "write_streaming_benchmark",
+    "write_suite",
 ]
 
 
@@ -208,24 +193,41 @@ MEDIUM = BenchCase(
 )
 
 
-def draws_match(
+def draws_identical(
+    run_a: Callable[[], CountState], run_b: Callable[[], CountState]
+) -> bool:
+    """True iff two seeded runs draw the identical chain.
+
+    Each callable runs one fit and returns its final
+    :class:`~repro.core.state.CountState`; the chains match when every
+    assignment array and the degenerate-draw tally are equal bitwise.
+    """
+    a, b = run_a(), run_b()
+    return (
+        np.array_equal(a.post_comm, b.post_comm)
+        and np.array_equal(a.post_topic, b.post_topic)
+        and np.array_equal(a.link_src_comm, b.link_src_comm)
+        and np.array_equal(a.link_dst_comm, b.link_dst_comm)
+        and a.degenerate_draws == b.degenerate_draws
+    )
+
+
+def _kernel_chain(
     corpus: SocialCorpus,
     hp: Hyperparameters,
     case: BenchCase,
-    num_sweeps: int = 3,
-) -> bool:
-    """True iff both kernel paths draw the identical chain from one seed."""
-    states = []
-    for fast in (False, True):
-        rng = np.random.default_rng(case.seed + 1)
-        state = CountState.initialize(
-            corpus, case.num_communities, case.num_topics, rng
-        )
-        cache = SweepCache(state, hp) if fast else None
-        for _ in range(num_sweeps):
-            sweep(state, hp, rng, cache=cache)
-        states.append(state)
-    return _states_identical(*states)
+    fast: bool,
+    num_sweeps: int,
+) -> CountState:
+    """``num_sweeps`` sweeps of one kernel path from the equivalence seed."""
+    rng = np.random.default_rng(case.seed + 1)
+    state = CountState.initialize(
+        corpus, case.num_communities, case.num_topics, rng
+    )
+    cache = SweepCache(state, hp) if fast else None
+    for _ in range(num_sweeps):
+        sweep(state, hp, rng, cache=cache)
+    return state
 
 
 def run_case(
@@ -280,361 +282,164 @@ def run_case(
         "reference_seconds_per_sweep": round(seconds["reference"], 5),
         "fast_seconds_per_sweep": round(seconds["fast"], 5),
         "speedup": round(seconds["reference"] / seconds["fast"], 2),
-        "draws_match": draws_match(corpus, hp, case, equivalence_sweeps),
+        "draws_match": draws_identical(
+            partial(_kernel_chain, corpus, hp, case, False, equivalence_sweeps),
+            partial(_kernel_chain, corpus, hp, case, True, equivalence_sweeps),
+        ),
         "occupancy": occupancy,
         "peak_rss_mb": peak_rss_mb(),
     }
 
 
-def run_benchmark(
-    cases: tuple[BenchCase, ...] = (SMOKE, MEDIUM),
-    warmup: int = 10,
-    reps: int = 5,
-    sweeps_per_rep: int = 2,
-) -> dict:
-    """Run every case; returns the full JSON-ready payload."""
-    return {
-        "benchmark": "collapsed Gibbs sweep, reference vs fast kernels",
-        "harness": "repro.perf",
-        **environment_stamp(),
-        "method": {
-            "warmup_sweeps": warmup,
-            "reps": reps,
-            "sweeps_per_rep": sweeps_per_rep,
-            "statistic": "min over reps of mean seconds per sweep",
-        },
-        "cases": [
-            run_case(case, warmup=warmup, reps=reps, sweeps_per_rep=sweeps_per_rep)
-            for case in cases
-        ],
-    }
+#: Instruments :func:`run_overhead_case` can meter against a dark fit.
+INSTRUMENTS = ("telemetry", "tracer", "diagnostics")
 
 
-def write_benchmark(
-    path: str | Path,
-    cases: tuple[BenchCase, ...] = (SMOKE, MEDIUM),
-    warmup: int = 10,
-    reps: int = 5,
-    sweeps_per_rep: int = 2,
-) -> dict:
-    """Run the benchmark and atomically write its JSON to ``path``."""
-    payload = run_benchmark(
-        cases, warmup=warmup, reps=reps, sweeps_per_rep=sweeps_per_rep
-    )
-    atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def _states_identical(reference: CountState, candidate: CountState) -> bool:
-    return (
-        np.array_equal(reference.post_comm, candidate.post_comm)
-        and np.array_equal(reference.post_topic, candidate.post_topic)
-        and np.array_equal(reference.link_src_comm, candidate.link_src_comm)
-        and np.array_equal(reference.link_dst_comm, candidate.link_dst_comm)
-        and reference.degenerate_draws == candidate.degenerate_draws
-    )
-
-
-def telemetry_draws_match(
-    corpus: SocialCorpus, case: BenchCase, num_sweeps: int = 3
-) -> bool:
-    """True iff telemetry-on and telemetry-off fits draw the same chain.
-
-    The telemetry layer must never consume RNG; this replays a short fit
-    with metrics + tracing enabled (written to a throwaway directory) and
-    with both disabled, from the same seed, and compares every assignment
-    array bitwise.
-    """
-    states = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for enabled in (False, True):
-            run_dir = Path(tmp) / ("on" if enabled else "off")
-            model = COLDModel(
-                num_communities=case.num_communities,
-                num_topics=case.num_topics,
-                seed=case.seed + 1,
-                metrics_out=run_dir / "metrics.jsonl" if enabled else None,
-                trace_out=run_dir / "trace.json" if enabled else None,
-            )
-            model.fit(corpus, num_iterations=num_sweeps, likelihood_interval=1)
-            assert model.state_ is not None
-            states.append(model.state_)
-    return _states_identical(*states)
-
-
-def _timed_fit_min_sweep_seconds(
-    model: COLDModel, corpus: SocialCorpus, sweeps: int
-) -> float:
-    """Fit ``model`` and return its fastest inter-sweep wall time.
-
-    Sweeps are timed individually via the fit callback (the delta between
-    consecutive callbacks covers the sweep *and* all per-sweep telemetry
-    bookkeeping), and the min is taken — on a noisy machine the floor of
-    many short samples is far more stable than one whole-fit wall time,
-    which is what lets the gate resolve a sub-millisecond overhead.
-    """
-    times: list[float] = []
-    last: float | None = None
-
-    def clock(_iteration: int, _model: COLDModel) -> None:
-        nonlocal last
-        now = time.perf_counter()
-        if last is not None:
-            times.append(now - last)
-        last = now
-
-    model.fit(
-        corpus,
-        num_iterations=sweeps,
-        burn_in=sweeps - 1,
-        sample_interval=1,
-        likelihood_interval=0,
-        callback=clock,
-    )
-    return min(times)
-
-
-def run_telemetry_overhead_case(
+def instrumented_fit(
+    corpus: SocialCorpus,
     case: BenchCase,
+    instrument: str,
+    enabled: bool,
+    *,
+    seed: int,
+    stride: int = 1,
+    index=None,
+    **fit_kwargs,
+) -> COLDModel:
+    """Fit ``case``'s model on ``corpus`` with ``instrument`` on or off.
+
+    ``telemetry`` writes ``metrics_out`` and ``trace_out``; ``tracer``
+    installs a process-wide :class:`~repro.telemetry.tracing.Tracer`
+    (what ``cold profile`` does); ``diagnostics`` writes ``metrics_out``
+    in *both* modes, so the delta is a
+    :class:`~repro.diagnostics.quality.QualityStream` at ``stride``
+    alone (sharing a prebuilt co-occurrence ``index`` when given).
+    Telemetry files go to a throwaway directory.  ``fit_kwargs`` are
+    passed to :meth:`~repro.core.model.COLDModel.fit`.
+    """
+    if instrument not in INSTRUMENTS:
+        raise ValueError(
+            f"unknown instrument {instrument!r}; expected one of {INSTRUMENTS}"
+        )
+    with tempfile.TemporaryDirectory() as tmp:
+        outputs: dict[str, Path] = {}
+        if instrument == "telemetry" and enabled:
+            outputs["metrics_out"] = Path(tmp) / "metrics.jsonl"
+            outputs["trace_out"] = Path(tmp) / "trace.json"
+        elif instrument == "diagnostics":
+            outputs["metrics_out"] = Path(tmp) / "metrics.jsonl"
+            if enabled:
+                from .diagnostics.quality import QualityStream
+
+                fit_kwargs["diagnostics"] = QualityStream(
+                    corpus, stride=stride, index=index
+                )
+        model = COLDModel(
+            num_communities=case.num_communities,
+            num_topics=case.num_topics,
+            seed=seed,
+            **outputs,
+        )
+        previous = set_tracer(
+            Tracer() if instrument == "tracer" and enabled else None
+        )
+        try:
+            model.fit(corpus, **fit_kwargs)
+        finally:
+            set_tracer(previous)
+    return model
+
+
+def run_overhead_case(
+    case: BenchCase,
+    instrument: str,
     sweeps: int = 8,
     reps: int = 6,
+    stride: int = 10,
     equivalence_sweeps: int = 3,
 ) -> dict:
-    """Per-sweep cost of a fit with telemetry on vs off; JSON-ready record.
+    """Per-sweep cost of ``instrument`` on vs off; JSON-ready record.
 
-    Each rep runs a short serial fit dark and one with both
-    ``metrics_out`` and ``trace_out`` enabled (likelihood monitoring off,
-    so the sweeps dominate), alternating which mode goes first (ABBA) so
-    slow machine drift hits both equally.  The statistic per mode is the
-    min over all reps of the min per-sweep wall time (see
-    :func:`_timed_fit_min_sweep_seconds`): on a contended host whole-fit
-    wall times swing by 10%+, while the floor of many short interleaved
-    samples converges on the quiet-machine sweep time for both modes.
-    ``overhead_fraction`` is ``on/off - 1``; the perf gate asserts it
-    stays under 3%.
+    Each rep fits the case dark and instrumented (likelihood monitoring
+    off, so the sweeps dominate), alternating which mode goes first
+    (ABBA) so slow machine drift hits both equally.  Sweeps are timed
+    individually by the fit callback — the delta between consecutive
+    callbacks covers the sweep *and* all per-sweep instrument
+    bookkeeping — and each fit is reduced to one number: the *min*
+    (``telemetry``, ``tracer``: on a noisy host the floor of many short
+    samples is far steadier than a whole-fit wall time, which is what
+    lets the gate resolve a sub-millisecond overhead) or the *mean*
+    (``diagnostics``: the stride concentrates the cost on every
+    ``stride``-th sweep, so a min would land on an unmetered one).  The
+    statistic per mode is the min of that over reps, and
+    ``overhead_fraction`` is ``on/off - 1``.
+
+    For ``diagnostics`` the one-time coherence co-occurrence index is
+    built outside the timed fits and shared by them (it would dominate
+    at bench-scale sweep counts while vanishing over a real run's
+    hundreds of sweeps); its cost is reported as
+    ``index_build_seconds``.  ``sweeps`` should then cover at least two
+    stride periods so the amortisation is real.
+
+    ``draws_match`` replays ``equivalence_sweeps`` sweeps dark and
+    instrumented (a diagnostics stream at stride 1, the worst case):
+    instruments never consume RNG, so the chains must be identical.
     """
     corpus = case.build_corpus()
+    diagnostics = instrument == "diagnostics"
+    index = None
+    if diagnostics:
+        from .eval.coherence import CooccurrenceIndex
+
+        index_start = time.perf_counter()
+        index = CooccurrenceIndex(corpus)
+        index_build_seconds = time.perf_counter() - index_start
     best = {"off": math.inf, "on": math.inf}
-    with tempfile.TemporaryDirectory() as tmp:
-        for rep in range(reps):
-            order = ("off", "on") if rep % 2 == 0 else ("on", "off")
-            for mode in order:
-                run_dir = Path(tmp) / f"{mode}_{rep}"
-                enabled = mode == "on"
-                model = COLDModel(
-                    num_communities=case.num_communities,
-                    num_topics=case.num_topics,
-                    seed=case.seed,
-                    metrics_out=run_dir / "metrics.jsonl" if enabled else None,
-                    trace_out=run_dir / "trace.json" if enabled else None,
-                )
-                best[mode] = min(
-                    best[mode],
-                    _timed_fit_min_sweep_seconds(model, corpus, sweeps),
-                )
+    for rep in range(reps):
+        order = ("off", "on") if rep % 2 == 0 else ("on", "off")
+        for mode in order:
+            times: list[float] = []
+            last: float | None = None
+
+            def clock(_iteration: int, _model: COLDModel) -> None:
+                nonlocal last
+                now = time.perf_counter()
+                if last is not None:
+                    times.append(now - last)
+                last = now
+
+            instrumented_fit(
+                corpus, case, instrument, mode == "on",
+                seed=case.seed, stride=stride, index=index,
+                num_iterations=sweeps, burn_in=sweeps - 1, sample_interval=1,
+                likelihood_interval=0, callback=clock,
+            )
+            per_sweep = sum(times) / len(times) if diagnostics else min(times)
+            best[mode] = min(best[mode], per_sweep)
+
+    def replay(enabled: bool) -> Callable[[], CountState]:
+        return lambda: instrumented_fit(
+            corpus, case, instrument, enabled, seed=case.seed + 1,
+            num_iterations=equivalence_sweeps, likelihood_interval=1,
+        ).state_
+
     return {
         "name": case.name,
         "config": asdict(case),
         "sweeps": sweeps,
         "reps": reps,
+        **({"stride": stride} if diagnostics else {}),
         "off_seconds_per_sweep": round(best["off"], 5),
         "on_seconds_per_sweep": round(best["on"], 5),
         "overhead_fraction": round(best["on"] / best["off"] - 1.0, 4),
-        "draws_match": telemetry_draws_match(
-            corpus, case, num_sweeps=equivalence_sweeps
+        **(
+            {"index_build_seconds": round(index_build_seconds, 3)}
+            if diagnostics
+            else {}
         ),
+        "draws_match": draws_identical(replay(False), replay(True)),
         "peak_rss_mb": peak_rss_mb(),
     }
-
-
-def diagnostics_draws_match(
-    corpus: SocialCorpus,
-    case: BenchCase,
-    num_sweeps: int = 3,
-    stride: int = 1,
-) -> bool:
-    """True iff a fit with quality streaming draws the identical chain.
-
-    The diagnostics layer's contract is the same as telemetry's: strictly
-    read-only over the sampler state, zero RNG consumption.  Replays a
-    short telemetry-enabled fit with a stride-1
-    :class:`~repro.diagnostics.quality.QualityStream` attached (every
-    sweep evaluated — the worst case) and one without, from the same
-    seed, and compares every assignment array bitwise.
-    """
-    from .diagnostics.quality import QualityStream
-
-    states = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for enabled in (False, True):
-            run_dir = Path(tmp) / ("on" if enabled else "off")
-            model = COLDModel(
-                num_communities=case.num_communities,
-                num_topics=case.num_topics,
-                seed=case.seed + 1,
-                metrics_out=run_dir / "metrics.jsonl",
-            )
-            stream = QualityStream(corpus, stride=stride) if enabled else None
-            model.fit(
-                corpus,
-                num_iterations=num_sweeps,
-                likelihood_interval=1,
-                diagnostics=stream,
-            )
-            assert model.state_ is not None
-            states.append(model.state_)
-    return _states_identical(*states)
-
-
-def _timed_fit_mean_sweep_seconds(
-    model: COLDModel,
-    corpus: SocialCorpus,
-    sweeps: int,
-    diagnostics=None,
-) -> float:
-    """Fit ``model`` and return its mean inter-sweep wall time.
-
-    The mean — not the min of :func:`_timed_fit_min_sweep_seconds` — is
-    the right statistic for stride-gated work: quality streaming spends
-    its budget on every ``stride``-th sweep, so the min would land on an
-    unmetered sweep and report zero overhead regardless of the true
-    amortised cost.
-    """
-    times: list[float] = []
-    last: float | None = None
-
-    def clock(_iteration: int, _model: COLDModel) -> None:
-        nonlocal last
-        now = time.perf_counter()
-        if last is not None:
-            times.append(now - last)
-        last = now
-
-    model.fit(
-        corpus,
-        num_iterations=sweeps,
-        burn_in=sweeps - 1,
-        sample_interval=1,
-        likelihood_interval=0,
-        callback=clock,
-        diagnostics=diagnostics,
-    )
-    return sum(times) / len(times)
-
-
-def run_diagnostics_overhead_case(
-    case: BenchCase,
-    sweeps: int = 20,
-    reps: int = 4,
-    stride: int = 10,
-    equivalence_sweeps: int = 3,
-) -> dict:
-    """Amortised per-sweep cost of quality streaming; JSON-ready record.
-
-    Both modes fit with telemetry enabled (so the measured delta is the
-    quality stream itself, not the JSONL plumbing the telemetry gate
-    already covers); the "on" mode attaches a
-    :class:`~repro.diagnostics.quality.QualityStream` at ``stride``.
-    Reps alternate mode order (ABBA) and the statistic per mode is the
-    min over reps of the *mean* per-sweep wall time (see
-    :func:`_timed_fit_mean_sweep_seconds`).  ``sweeps`` should cover at
-    least two stride periods so the amortisation is real.
-    ``overhead_fraction`` is ``on/off - 1`` — the *steady-state* cost:
-    the one-time coherence co-occurrence index build is warmed outside
-    the timed fits (it would dominate at bench-scale sweep counts while
-    vanishing over a real run's hundreds of sweeps) and reported
-    separately as ``index_build_seconds``.  The perf gate asserts the
-    steady-state fraction stays under 5%.
-    """
-    from .diagnostics.quality import QualityStream
-    from .eval.coherence import CooccurrenceIndex
-
-    corpus = case.build_corpus()
-    best = {"off": math.inf, "on": math.inf}
-    # The coherence co-occurrence index is a one-time corpus scan that
-    # would otherwise land inside the first metered sweep and swamp the
-    # amortised statistic at bench-scale sweep counts; build it outside
-    # the timed region, share it across reps, report its cost separately.
-    index_start = time.perf_counter()
-    warm_index = CooccurrenceIndex(corpus)
-    index_build_seconds = time.perf_counter() - index_start
-    with tempfile.TemporaryDirectory() as tmp:
-        for rep in range(reps):
-            order = ("off", "on") if rep % 2 == 0 else ("on", "off")
-            for mode in order:
-                run_dir = Path(tmp) / f"{mode}_{rep}"
-                model = COLDModel(
-                    num_communities=case.num_communities,
-                    num_topics=case.num_topics,
-                    seed=case.seed,
-                    metrics_out=run_dir / "metrics.jsonl",
-                )
-                stream = None
-                if mode == "on":
-                    stream = QualityStream(
-                        corpus, stride=stride, index=warm_index
-                    )
-                best[mode] = min(
-                    best[mode],
-                    _timed_fit_mean_sweep_seconds(
-                        model, corpus, sweeps, diagnostics=stream
-                    ),
-                )
-    return {
-        "name": case.name,
-        "config": asdict(case),
-        "sweeps": sweeps,
-        "reps": reps,
-        "stride": stride,
-        "off_seconds_per_sweep": round(best["off"], 5),
-        "on_seconds_per_sweep": round(best["on"], 5),
-        "overhead_fraction": round(best["on"] / best["off"] - 1.0, 4),
-        "index_build_seconds": round(index_build_seconds, 3),
-        "draws_match": diagnostics_draws_match(
-            corpus, case, num_sweeps=equivalence_sweeps
-        ),
-        "peak_rss_mb": peak_rss_mb(),
-    }
-
-
-def write_diagnostics_benchmark(
-    path: str | Path,
-    cases: tuple[BenchCase, ...] = (MEDIUM,),
-    sweeps: int = 20,
-    reps: int = 4,
-    stride: int = 10,
-    equivalence_sweeps: int = 3,
-) -> dict:
-    """Run the diagnostics overhead suite and atomically write its JSON."""
-    payload = {
-        "benchmark": "quality-streaming diagnostics overhead per Gibbs sweep",
-        "harness": "repro.perf",
-        **environment_stamp(),
-        "method": {
-            "sweeps": sweeps,
-            "reps": reps,
-            "stride": stride,
-            "statistic": (
-                "min over ABBA reps of mean seconds per sweep "
-                "(mean, not min: stride-gated cost is non-uniform); "
-                "one-time co-occurrence index build excluded, "
-                "reported as index_build_seconds"
-            ),
-            "baseline": "telemetry-enabled fit without a QualityStream",
-        },
-        "cases": [
-            run_diagnostics_overhead_case(
-                case,
-                sweeps=sweeps,
-                reps=reps,
-                stride=stride,
-                equivalence_sweeps=equivalence_sweeps,
-            )
-            for case in cases
-        ],
-    }
-    atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
-    return payload
 
 
 def _serving_client_worker(
@@ -883,70 +688,26 @@ def run_serving_case(
     }
 
 
-def write_serving_benchmark(
-    path: str | Path,
-    cases: tuple[BenchCase, ...] = (SMOKE, MEDIUM),
-    fit_iterations: int = 30,
-    num_requests: int = 600,
-    concurrency: int = 4,
-) -> dict:
-    """Run the serving suite and atomically write its JSON to ``path``."""
-    payload = {
-        "benchmark": "prediction serving layer, QPS and client-side latency",
-        "harness": "repro.perf",
-        **environment_stamp(),
-        "cpu_count": os.cpu_count(),
-        "method": {
-            "num_requests": num_requests,
-            "concurrency": concurrency,
-            "clients": "persistent HTTP/1.1 connections, client-side timing",
-            "mix": "retweet/link/timestamp/influential round-robin",
-            "warmup": "caches populated by a warmup phase before timing",
-        },
-        "cases": [
-            run_serving_case(
-                case,
-                fit_iterations=fit_iterations,
-                num_requests=num_requests,
-                concurrency=concurrency,
-            )
-            for case in cases
-        ],
-    }
-    atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
-def parallel_draws_match(
-    corpus: SocialCorpus,
-    case: BenchCase,
+def _parallel_fit(
+    corpus,
+    num_communities: int,
+    num_topics: int,
     num_nodes: int,
     executor: str,
-    num_workers: int | None = None,
-    num_sweeps: int = 2,
-) -> bool:
-    """True iff ``executor`` draws the identical chain as ``simulated``.
-
-    Runs two parallel fits from the same seed at equal ``num_nodes`` — one
-    with the sequential ``simulated`` executor (the oracle) and one with
-    the executor under test — and compares every assignment array bitwise
-    plus the degenerate-draw tally.  A parallel "speedup" over an executor
-    that draws a *different* chain would be meaningless, so the scaling
-    harness records this with every run.
-    """
-    states = []
-    for run_executor, run_workers in (("simulated", None), (executor, num_workers)):
-        sampler = ParallelCOLDSampler(
-            num_communities=case.num_communities,
-            num_topics=case.num_topics,
-            num_nodes=num_nodes,
-            executor=run_executor,
-            num_workers=run_workers,
-            seed=case.seed + 1,
-            fast=True,
-        ).fit(corpus, num_iterations=num_sweeps)
-        states.append(sampler.state_)
-    return _states_identical(*states)
+    num_workers: int | None,
+    seed: int,
+    sweeps: int,
+) -> ParallelCOLDSampler:
+    """A fast-kernel parallel fit of ``corpus`` (either container)."""
+    return ParallelCOLDSampler(
+        num_communities=num_communities,
+        num_topics=num_topics,
+        num_nodes=num_nodes,
+        executor=executor,
+        num_workers=num_workers,
+        seed=seed,
+        fast=True,
+    ).fit(corpus, num_iterations=sweeps)
 
 
 def run_parallel_case(
@@ -966,6 +727,8 @@ def run_parallel_case(
     self-reported CPU time for its shard, so the curve measures per-shard
     work even when the host has fewer cores than workers (wall time per
     sweep is recorded alongside for honesty on such hosts).
+    ``draws_match`` replays the largest node count through ``executor``
+    and through the sequential ``simulated`` oracle.
     """
     if not node_counts:
         raise ValueError("node_counts must not be empty")
@@ -974,15 +737,10 @@ def run_parallel_case(
     base: float | None = None
     for nodes in node_counts:
         start = time.perf_counter()
-        sampler = ParallelCOLDSampler(
-            num_communities=case.num_communities,
-            num_topics=case.num_topics,
-            num_nodes=nodes,
-            executor=executor,
-            num_workers=num_workers,
-            seed=case.seed,
-            fast=True,
-        ).fit(corpus, num_iterations=sweeps)
+        sampler = _parallel_fit(
+            corpus, case.num_communities, case.num_topics, nodes, executor,
+            num_workers, case.seed, sweeps,
+        )
         wall = time.perf_counter() - start
         report = sampler.report_
         assert report is not None
@@ -999,6 +757,13 @@ def run_parallel_case(
             }
         )
     match_nodes = max(node_counts)
+
+    def replay(run_executor: str, workers: int | None) -> Callable[[], CountState]:
+        return lambda: _parallel_fit(
+            corpus, case.num_communities, case.num_topics, match_nodes,
+            run_executor, workers, case.seed + 1, equivalence_sweeps,
+        ).state_
+
     return {
         "name": case.name,
         "config": asdict(case),
@@ -1010,95 +775,12 @@ def run_parallel_case(
         "num_workers": num_workers,
         "sweeps": sweeps,
         "scaling": scaling,
-        "draws_match": parallel_draws_match(
-            corpus,
-            case,
-            match_nodes,
-            executor,
-            num_workers=num_workers,
-            num_sweeps=equivalence_sweeps,
+        "draws_match": draws_identical(
+            replay("simulated", None), replay(executor, num_workers)
         ),
         "draws_match_nodes": match_nodes,
         "peak_rss_mb": peak_rss_mb(include_children=True),
     }
-
-
-def run_parallel_benchmark(
-    cases: tuple[BenchCase, ...] = (MEDIUM,),
-    node_counts: tuple[int, ...] = (1, 2, 4, 8),
-    executor: str = "processes",
-    num_workers: int | None = None,
-    sweeps: int = 5,
-    equivalence_sweeps: int = 2,
-) -> dict:
-    """Run the parallel scaling suite; returns the full JSON-ready payload."""
-    return {
-        "benchmark": "parallel COLD sampling, scaling over cluster nodes",
-        "harness": "repro.perf",
-        **environment_stamp(),
-        "cpu_count": os.cpu_count(),
-        "method": {
-            "sweeps": sweeps,
-            "equivalence_sweeps": equivalence_sweeps,
-            "statistic": "min over supersteps of cluster seconds per sweep",
-            "node_seconds": (
-                "worker-reported CPU seconds per shard for the 'processes' "
-                "executor; engine wall clock otherwise"
-            ),
-        },
-        "cases": [
-            run_parallel_case(
-                case,
-                node_counts=node_counts,
-                executor=executor,
-                num_workers=num_workers,
-                sweeps=sweeps,
-                equivalence_sweeps=equivalence_sweeps,
-            )
-            for case in cases
-        ],
-    }
-
-
-def write_parallel_benchmark(
-    path: str | Path,
-    cases: tuple[BenchCase, ...] = (MEDIUM,),
-    node_counts: tuple[int, ...] = (1, 2, 4, 8),
-    executor: str = "processes",
-    num_workers: int | None = None,
-    sweeps: int = 5,
-    equivalence_sweeps: int = 2,
-    packed_scales: tuple[int, ...] = (),
-) -> dict:
-    """Run the scaling suite and atomically write its JSON to ``path``.
-
-    ``packed_scales`` (e.g. :data:`PACKED_SCALES`) additionally runs the
-    out-of-core sweep — :func:`run_packed_scaling_case` — and records it
-    under ``packed_scaling``; this is the ``cold bench --parallel
-    --packed-large`` path and takes minutes at the 10^5-user point.
-    """
-    payload = run_parallel_benchmark(
-        cases,
-        node_counts=node_counts,
-        executor=executor,
-        num_workers=num_workers,
-        sweeps=sweeps,
-        equivalence_sweeps=equivalence_sweeps,
-    )
-    if packed_scales:
-        payload["method"]["packed_scaling"] = (
-            "per scale point, chunked .coldpack generation and an "
-            "mmap-backed 'processes' fit each run in a fresh spawned "
-            "subprocess that self-reports wall time and getrusage peak "
-            "RSS (children folded in), so every peak is a per-point fact"
-        )
-        payload["packed_scaling"] = run_packed_scaling_case(
-            scales=packed_scales,
-            num_workers=num_workers if num_workers is not None else 2,
-            equivalence_sweeps=equivalence_sweeps,
-        )
-    atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
-    return payload
 
 
 def run_streaming_case(
@@ -1242,46 +924,6 @@ def run_streaming_case(
     }
 
 
-def run_streaming_benchmark(
-    cases: tuple[BenchCase, ...] = (MEDIUM,),
-    num_updates: int = 5,
-    bootstrap_fraction: float = 0.6,
-    fit_iterations: int = 60,
-    update_sweeps: int = 8,
-    equivalence_sweeps: int = 24,
-) -> dict:
-    """Run the streaming suite; returns the full JSON-ready payload."""
-    return {
-        "benchmark": "incremental stream updates vs full batch refit",
-        "harness": "repro.perf",
-        **environment_stamp(),
-        "method": {
-            "num_updates": num_updates,
-            "bootstrap_fraction": bootstrap_fraction,
-            "fit_iterations": fit_iterations,
-            "update_sweeps": update_sweeps,
-            "equivalence_sweeps": equivalence_sweeps,
-            "statistic": "refit wall seconds over mean update wall seconds",
-            "equivalence": (
-                "strict split R-hat + loglik gap vs the closest of two "
-                "independent refits, or within the refit-vs-refit seed "
-                "noise floor (the posterior is multimodal at this scale)"
-            ),
-        },
-        "cases": [
-            run_streaming_case(
-                case,
-                num_updates=num_updates,
-                bootstrap_fraction=bootstrap_fraction,
-                fit_iterations=fit_iterations,
-                update_sweeps=update_sweeps,
-                equivalence_sweeps=equivalence_sweeps,
-            )
-            for case in cases
-        ],
-    }
-
-
 #: Scale points (users) for the out-of-core packed sweep: 1.7x to 167x the
 #: MEDIUM corpus by user count (and ~0.1x to ~10x by token count — the
 #: packed config plants lighter per-user rates so the top point stays
@@ -1360,15 +1002,10 @@ def _packed_train_probe(
     corpus = PackedCorpus.open(path)
     try:
         start = time.perf_counter()
-        sampler = ParallelCOLDSampler(
-            num_communities=num_communities,
-            num_topics=num_topics,
-            num_nodes=num_nodes,
-            executor="processes",
-            num_workers=num_workers,
-            seed=seed,
-            fast=True,
-        ).fit(corpus, num_iterations=sweeps)
+        sampler = _parallel_fit(
+            corpus, num_communities, num_topics, num_nodes, "processes",
+            num_workers, seed, sweeps,
+        )
         wall = time.perf_counter() - start
         report = sampler.report_
         assert report is not None
@@ -1404,49 +1041,6 @@ def _run_probe(ctx, target, args: tuple) -> dict:
     return result
 
 
-def packed_draws_match(
-    path: str | Path,
-    num_communities: int,
-    num_topics: int,
-    num_nodes: int,
-    num_workers: int | None = None,
-    num_sweeps: int = 2,
-    seed: int = 7,
-) -> bool:
-    """True iff mmap-backed and in-RAM fits draw the identical chain.
-
-    Fits the same corpus twice from one seed: once as a materialised
-    :class:`SocialCorpus` on the sequential ``simulated`` oracle, once as
-    the memory-mapped :class:`PackedCorpus` on the ``processes`` executor.
-    This is the packed format's whole correctness claim — out-of-core is
-    a storage decision, not a statistical one — so the scaling harness
-    records it with every run.
-    """
-    from .datasets.packed import PackedCorpus
-
-    packed = PackedCorpus.open(path)
-    try:
-        social = packed.to_social_corpus()
-        states = []
-        for corpus, run_executor, run_workers in (
-            (social, "simulated", None),
-            (packed, "processes", num_workers),
-        ):
-            sampler = ParallelCOLDSampler(
-                num_communities=num_communities,
-                num_topics=num_topics,
-                num_nodes=num_nodes,
-                executor=run_executor,
-                num_workers=run_workers,
-                seed=seed,
-                fast=True,
-            ).fit(corpus, num_iterations=num_sweeps)
-            states.append(sampler.state_)
-    finally:
-        packed.close()
-    return _states_identical(*states)
-
-
 def run_packed_scaling_case(
     scales: tuple[int, ...] = PACKED_SCALES,
     num_communities: int = 8,
@@ -1466,8 +1060,11 @@ def run_packed_scaling_case(
     counter is a monotonic per-process maximum, so measuring three scales
     in one process would report the largest one three times.  Draw
     equivalence (mmap ``processes`` vs in-RAM ``simulated``) is checked
-    at the smallest scale, where a double fit is cheap.
+    at the smallest scale, where a double fit is cheap: out-of-core is a
+    storage decision, not a statistical one.
     """
+    from .datasets.packed import PackedCorpus
+
     if not scales:
         raise ValueError("scales must not be empty")
     ctx = multiprocessing.get_context("spawn")
@@ -1492,15 +1089,21 @@ def run_packed_scaling_case(
                 ),
             )
             if num_users == min(scales):
-                draws_ok = packed_draws_match(
-                    path,
-                    num_communities,
-                    num_topics,
-                    num_nodes,
-                    num_workers=num_workers,
-                    num_sweeps=equivalence_sweeps,
-                    seed=seed,
-                )
+                packed = PackedCorpus.open(path)
+                try:
+                    draws_ok = draws_identical(
+                        lambda: _parallel_fit(
+                            packed.to_social_corpus(), num_communities,
+                            num_topics, num_nodes, "simulated", None, seed,
+                            equivalence_sweeps,
+                        ).state_,
+                        lambda: _parallel_fit(
+                            packed, num_communities, num_topics, num_nodes,
+                            "processes", num_workers, seed, equivalence_sweeps,
+                        ).state_,
+                    )
+                finally:
+                    packed.close()
             points.append(
                 {
                     "users": num_users,
@@ -1539,24 +1142,255 @@ def run_packed_scaling_case(
     }
 
 
-def write_streaming_benchmark(
-    path: str | Path,
-    cases: tuple[BenchCase, ...] = (MEDIUM,),
-    num_updates: int = 5,
-    bootstrap_fraction: float = 0.6,
-    fit_iterations: int = 60,
-    update_sweeps: int = 8,
-    equivalence_sweeps: int = 24,
-) -> dict:
-    """Run the streaming suite and atomically write its JSON to ``path``."""
-    payload = run_streaming_benchmark(
-        cases,
-        num_updates=num_updates,
-        bootstrap_fraction=bootstrap_fraction,
-        fit_iterations=fit_iterations,
-        update_sweeps=update_sweeps,
-        equivalence_sweeps=equivalence_sweeps,
+# ---------------------------------------------------------------------------
+# suite registry — what `cold bench` runs, writes and prints
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One ``cold bench`` suite.
+
+    ``run_case`` measures one :class:`BenchCase` and returns its record;
+    ``method`` maps the run's settings (``run_case``'s keywords, defaults
+    filled in) to the payload's ``method`` block; ``summary`` renders one
+    record as the line(s) ``cold bench`` prints; ``flags`` maps each
+    ``run_case`` keyword the CLI sets to the ``cold bench`` option
+    (argparse dest) holding it.  ``benchmark`` is the title ledger
+    records are matched by, so it must never change.
+    """
+
+    benchmark: str
+    output: str
+    cases: tuple[BenchCase, ...]
+    run_case: Callable[..., dict]
+    method: Callable[[dict], dict]
+    summary: Callable[[dict], str]
+    flags: dict[str, str]
+    cpu_count: bool = False
+
+
+def _parallel_summary(record: dict) -> str:
+    lines = [
+        f"{record['name']:>8} @ {point['nodes']} node(s): "
+        f"{point['cluster_seconds_per_sweep']*1e3:.1f}ms cluster "
+        f"time per sweep, "
+        f"speedup {point['speedup_vs_1_node']:.2f}x"
+        for point in record["scaling"]
+    ]
+    lines.append(
+        f"{record['name']:>8}: draws_match={record['draws_match']} "
+        f"({record['executor']} vs simulated at "
+        f"{record['draws_match_nodes']} nodes), "
+        f"peak rss {record['peak_rss_mb']:.0f}MB"
     )
+    return "\n".join(lines)
+
+
+def packed_summary(packed: dict) -> str:
+    """The lines ``cold bench --parallel --packed-large`` prints last."""
+    lines = [
+        f"  packed @ {point['users']:>7} users "
+        f"({point['tokens']} tokens, {point['file_mb']:.1f}MB "
+        f"file): generate {point['generate_seconds']:.1f}s at "
+        f"{point['generate_peak_rss_mb']:.0f}MB peak rss, train "
+        f"{point['wall_seconds_per_sweep']:.2f}s/sweep at "
+        f"{point['train_peak_rss_mb']:.0f}MB peak rss"
+        for point in packed["scaling"]
+    ]
+    lines.append(
+        f"  packed: draws_match={packed['draws_match']} "
+        f"(mmap processes vs in-RAM simulated at "
+        f"{packed['draws_match_users']} users)"
+    )
+    return "\n".join(lines)
+
+
+#: Every ``cold bench`` suite by name; ``gibbs`` runs when no suite flag
+#: is given, the others under ``--parallel``/``--diagnostics``/...
+SUITES: dict[str, Suite] = {
+    "gibbs": Suite(
+        benchmark="collapsed Gibbs sweep, reference vs fast kernels",
+        output="BENCH_gibbs.json",
+        cases=(SMOKE, MEDIUM),
+        run_case=run_case,
+        method=lambda s: {
+            "warmup_sweeps": s["warmup"],
+            "reps": s["reps"],
+            "sweeps_per_rep": s["sweeps_per_rep"],
+            "statistic": "min over reps of mean seconds per sweep",
+        },
+        summary=lambda r: (
+            f"{r['name']:>8}: {r['reference_seconds_per_sweep']*1e3:.1f}ms"
+            f" -> {r['fast_seconds_per_sweep']*1e3:.1f}ms per sweep, "
+            f"speedup {r['speedup']:.2f}x, "
+            f"draws_match={r['draws_match']}, "
+            f"peak rss {r['peak_rss_mb']:.0f}MB"
+        ),
+        flags={
+            "warmup": "warmup", "reps": "reps",
+            "sweeps_per_rep": "sweeps_per_rep",
+        },
+    ),
+    "parallel": Suite(
+        benchmark="parallel COLD sampling, scaling over cluster nodes",
+        output="BENCH_parallel.json",
+        cases=(MEDIUM,),
+        run_case=run_parallel_case,
+        method=lambda s: {
+            "sweeps": s["sweeps"],
+            "equivalence_sweeps": s["equivalence_sweeps"],
+            "statistic": "min over supersteps of cluster seconds per sweep",
+            "node_seconds": (
+                "worker-reported CPU seconds per shard for the 'processes' "
+                "executor; engine wall clock otherwise"
+            ),
+        },
+        summary=_parallel_summary,
+        flags={
+            "node_counts": "nodes", "executor": "executor",
+            "num_workers": "workers", "sweeps": "sweeps",
+            "equivalence_sweeps": "equivalence_sweeps",
+        },
+        cpu_count=True,
+    ),
+    "diagnostics": Suite(
+        benchmark="quality-streaming diagnostics overhead per Gibbs sweep",
+        output="BENCH_diagnostics.json",
+        cases=(MEDIUM,),
+        run_case=partial(
+            run_overhead_case, instrument="diagnostics", sweeps=20, reps=4
+        ),
+        method=lambda s: {
+            "sweeps": s["sweeps"],
+            "reps": s["reps"],
+            "stride": s["stride"],
+            "statistic": (
+                "min over ABBA reps of mean seconds per sweep "
+                "(mean, not min: stride-gated cost is non-uniform); "
+                "one-time co-occurrence index build excluded, "
+                "reported as index_build_seconds"
+            ),
+            "baseline": "telemetry-enabled fit without a QualityStream",
+        },
+        summary=lambda r: (
+            f"{r['name']:>8}: "
+            f"{r['off_seconds_per_sweep']*1e3:.1f}ms plain -> "
+            f"{r['on_seconds_per_sweep']*1e3:.1f}ms streaming "
+            f"at stride {r['stride']}, "
+            f"overhead {r['overhead_fraction']:+.1%}, "
+            f"draws_match={r['draws_match']}, "
+            f"peak rss {r['peak_rss_mb']:.0f}MB"
+        ),
+        flags={
+            "sweeps": "sweeps", "reps": "reps", "stride": "stride",
+            "equivalence_sweeps": "equivalence_sweeps",
+        },
+    ),
+    "serving": Suite(
+        benchmark="prediction serving layer, QPS and client-side latency",
+        output="BENCH_serving.json",
+        cases=(SMOKE, MEDIUM),
+        run_case=run_serving_case,
+        method=lambda s: {
+            "num_requests": s["num_requests"],
+            "concurrency": s["concurrency"],
+            "clients": "persistent HTTP/1.1 connections, client-side timing",
+            "mix": "retweet/link/timestamp/influential round-robin",
+            "warmup": "caches populated by a warmup phase before timing",
+        },
+        summary=lambda r: (
+            f"{r['name']:>8}: {r['qps']:.0f} qps, "
+            f"p50 {r['p50_ms']:.2f}ms, p99 {r['p99_ms']:.2f}ms, "
+            f"{r['completed']}/{r['num_requests']} ok, "
+            f"{r['errors']} errors, "
+            f"peak rss {r['peak_rss_mb']:.0f}MB"
+        ),
+        flags={"num_requests": "requests", "concurrency": "concurrency"},
+        cpu_count=True,
+    ),
+    "streaming": Suite(
+        benchmark="incremental stream updates vs full batch refit",
+        output="BENCH_streaming.json",
+        cases=(MEDIUM,),
+        run_case=run_streaming_case,
+        method=lambda s: {
+            "num_updates": s["num_updates"],
+            "bootstrap_fraction": s["bootstrap_fraction"],
+            "fit_iterations": s["fit_iterations"],
+            "update_sweeps": s["update_sweeps"],
+            "equivalence_sweeps": s["equivalence_sweeps"],
+            "statistic": "refit wall seconds over mean update wall seconds",
+            "equivalence": (
+                "strict split R-hat + loglik gap vs the closest of two "
+                "independent refits, or within the refit-vs-refit seed "
+                "noise floor (the posterior is multimodal at this scale)"
+            ),
+        },
+        summary=lambda r: (
+            f"{r['name']:>8}: "
+            f"{r['mean_update_seconds']*1e3:.1f}ms per update vs "
+            f"{r['refit_seconds']*1e3:.1f}ms full refit, "
+            f"speedup {r['speedup']:.1f}x, "
+            f"equivalent={r['equivalent']}, "
+            f"peak rss {r['peak_rss_mb']:.0f}MB"
+        ),
+        flags={
+            "num_updates": "updates",
+            "bootstrap_fraction": "bootstrap_fraction",
+        },
+    ),
+}
+
+
+def write_suite(
+    name: str,
+    path: str | Path,
+    cases: tuple[BenchCase, ...] | None = None,
+    *,
+    packed_scales: tuple[int, ...] = (),
+    **settings,
+) -> dict:
+    """Run suite ``name`` and atomically write its payload to ``path``.
+
+    ``settings`` are keywords of the suite's ``run_case``; the ones left
+    out take its defaults, and the resolved values fill the ``method``
+    block.  ``cases`` defaults to the suite's.  ``packed_scales`` (parallel
+    suite only, e.g. :data:`PACKED_SCALES`) adds the out-of-core sweep —
+    :func:`run_packed_scaling_case` — under ``packed_scaling``; this is
+    ``cold bench --parallel --packed-large`` and takes minutes at the
+    10^5-user point.  Returns the payload.
+    """
+    suite = SUITES[name]
+    if packed_scales and name != "parallel":
+        raise ValueError("packed_scales belongs to the parallel suite")
+    bound = inspect.signature(suite.run_case).bind_partial(**settings)
+    bound.apply_defaults()
+    resolved = bound.arguments
+    payload = {
+        "benchmark": suite.benchmark,
+        "harness": "repro.perf",
+        **environment_stamp(),
+        **({"cpu_count": os.cpu_count()} if suite.cpu_count else {}),
+        "method": suite.method(resolved),
+        "cases": [
+            suite.run_case(case, **settings)
+            for case in (suite.cases if cases is None else cases)
+        ],
+    }
+    if packed_scales:
+        payload["method"]["packed_scaling"] = (
+            "per scale point, chunked .coldpack generation and an "
+            "mmap-backed 'processes' fit each run in a fresh spawned "
+            "subprocess that self-reports wall time and getrusage peak "
+            "RSS (children folded in), so every peak is a per-point fact"
+        )
+        workers = resolved["num_workers"]
+        payload["packed_scaling"] = run_packed_scaling_case(
+            scales=packed_scales,
+            num_workers=workers if workers is not None else 2,
+            equivalence_sweeps=resolved["equivalence_sweeps"],
+        )
     atomic_write_text(Path(path), json.dumps(payload, indent=2) + "\n")
     return payload
 
@@ -1948,75 +1782,4 @@ def run_profile_case(
         "memory": memory_gauges(include_children=executor == "processes"),
         "collapsed": profiling.render_collapsed(tracer),
         **environment_stamp(),
-    }
-
-
-def profiler_draws_match(
-    corpus: SocialCorpus, case: BenchCase, num_sweeps: int = 3
-) -> bool:
-    """True iff traced and dark fits draw the identical chain.
-
-    Spans only read ``perf_counter``, never the RNG; this is the check
-    that keeps it so.
-    """
-    states = []
-    for enabled in (False, True):
-        model = COLDModel(
-            num_communities=case.num_communities,
-            num_topics=case.num_topics,
-            seed=case.seed + 1,
-        )
-        previous = set_tracer(Tracer() if enabled else None)
-        try:
-            model.fit(corpus, num_iterations=num_sweeps, likelihood_interval=1)
-        finally:
-            set_tracer(previous)
-        assert model.state_ is not None
-        states.append(model.state_)
-    return _states_identical(*states)
-
-
-def run_profiler_overhead_case(
-    case: BenchCase,
-    sweeps: int = 8,
-    reps: int = 6,
-    equivalence_sweeps: int = 3,
-) -> dict:
-    """Per-sweep cost of profiling on vs off; JSON-ready record.
-
-    Same ABBA/min-floor discipline as
-    :func:`run_telemetry_overhead_case`: each rep times a dark fit and a
-    fit with an active :class:`~repro.telemetry.tracing.Tracer` (what
-    ``cold profile`` installs), alternating order so machine drift hits
-    both modes equally.  The perf gate asserts ``overhead_fraction``
-    stays under 3%.
-    """
-    corpus = case.build_corpus()
-    best = {"off": math.inf, "on": math.inf}
-    for rep in range(reps):
-        order = ("off", "on") if rep % 2 == 0 else ("on", "off")
-        for mode in order:
-            model = COLDModel(
-                num_communities=case.num_communities,
-                num_topics=case.num_topics,
-                seed=case.seed,
-            )
-            previous = set_tracer(Tracer() if mode == "on" else None)
-            try:
-                timed = _timed_fit_min_sweep_seconds(model, corpus, sweeps)
-            finally:
-                set_tracer(previous)
-            best[mode] = min(best[mode], timed)
-    return {
-        "name": case.name,
-        "config": asdict(case),
-        "sweeps": sweeps,
-        "reps": reps,
-        "off_seconds_per_sweep": round(best["off"], 5),
-        "on_seconds_per_sweep": round(best["on"], 5),
-        "overhead_fraction": round(best["on"] / best["off"] - 1.0, 4),
-        "draws_match": profiler_draws_match(
-            corpus, case, num_sweeps=equivalence_sweeps
-        ),
-        "peak_rss_mb": peak_rss_mb(),
     }

@@ -142,10 +142,19 @@ class Tracer:
         }
         with self._lock:
             self._events.append(event)
-            if len(self._events) > self.max_events:
-                kept = self._events[len(self._events) // 2 :]
-                self._dropped += len(self._events) - len(kept)
-                self._events = kept
+            self._trim()
+
+    def _trim(self) -> None:
+        """Enforce ``max_events`` (caller holds the lock).
+
+        Drops the oldest half of the buffer, or more when an absorbed
+        batch overshot the bound by more than that, and counts the drop.
+        """
+        excess = len(self._events) - self.max_events
+        if excess > 0:
+            drop = max(excess, len(self._events) // 2)
+            del self._events[:drop]
+            self._dropped += drop
 
     # -- export ------------------------------------------------------------
 
@@ -159,6 +168,7 @@ class Tracer:
         """Absorb events drained from another tracer (a worker process)."""
         with self._lock:
             self._events.extend(events)
+            self._trim()
 
     @property
     def events(self) -> list[dict]:

@@ -158,7 +158,7 @@ class TestZeroDrawContract:
         assert plain.monitor_.trace == streamed.monitor_.trace
 
     def test_perf_harness_equivalence_check_agrees(self, tiny_corpus):
-        from repro.perf import BenchCase, diagnostics_draws_match
+        from repro.perf import BenchCase, draws_identical, instrumented_fit
 
         case = BenchCase(
             name="tiny",
@@ -171,4 +171,11 @@ class TestZeroDrawContract:
             mean_words_per_post=7.0,
             mean_links_per_user=6.0,
         )
-        assert diagnostics_draws_match(tiny_corpus, case, num_sweeps=3)
+
+        def replay(enabled):
+            return lambda: instrumented_fit(
+                tiny_corpus, case, "diagnostics", enabled,
+                seed=case.seed + 1, num_iterations=3, likelihood_interval=1,
+            ).state_
+
+        assert draws_identical(replay(False), replay(True))

@@ -94,6 +94,20 @@ class TestTracer:
         kept = [e["args"]["i"] for e in trace["traceEvents"]]
         assert kept[-1] == 5  # newest events survive
 
+    def test_extend_past_max_events_trims_and_counts(self):
+        worker = tracing.Tracer()
+        for index in range(50):
+            with worker.span("worker_shard", i=index):
+                pass
+        parent = tracing.Tracer(max_events=10)
+        parent.extend(worker.drain())
+        kept = [e["args"]["i"] for e in parent.events]
+        assert len(kept) <= 10
+        assert kept[-1] == 49  # newest events survive
+        assert parent.dropped_events == 50 - len(kept)
+        trace = parent.to_chrome_trace()
+        assert trace["otherData"]["dropped_events"] == 50 - len(kept)
+
     def test_to_chrome_trace_sorted_and_save_loadable(self, tmp_path):
         tracer = tracing.Tracer()
         with tracer.span("outer"):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.perf import SUITES
 
 
 @pytest.fixture()
@@ -167,7 +168,7 @@ class TestBenchCompare:
     """--compare/--strict against a canned (monkeypatched) bench run."""
 
     PAYLOAD = {
-        "benchmark": "unit",
+        "benchmark": "collapsed Gibbs sweep, reference vs fast kernels",
         "git_describe": "test-stamp",
         "machine": {"cpu_count": 1},
         "cases": [
@@ -190,14 +191,14 @@ class TestBenchCompare:
 
         state = {"payload": copy.deepcopy(self.PAYLOAD)}
 
-        def fake_write(path, **kwargs):
+        def fake_write(name, path, *args, **kwargs):
             payload = copy.deepcopy(state["payload"])
             import pathlib
 
             pathlib.Path(path).write_text(json_module.dumps(payload))
             return payload
 
-        monkeypatch.setattr("repro.perf.write_benchmark", fake_write)
+        monkeypatch.setattr("repro.perf.write_suite", fake_write)
         return state
 
     def test_unchanged_rerun_passes_strict(self, tmp_path, capsys, fake_bench):
@@ -253,3 +254,135 @@ class TestBenchCompare:
             ]
         )
         assert code == 1
+
+    def test_ledger_baseline_matches_suite(self, tmp_path, capsys):
+        # A ledger baseline is the last record *of the suite being run*:
+        # a later record of another suite must not shadow it (it shares
+        # no metrics, so --strict would pass without comparing anything).
+        import json as json_module
+
+        from repro.perf import append_history, metric_direction, read_history
+
+        out_path = tmp_path / "parallel.json"
+        ledger = tmp_path / "history.jsonl"
+        argv = [
+            "bench", str(out_path), "--parallel", "--cases", "smoke",
+            "--nodes", "1", "--executor", "simulated", "--sweeps", "1",
+            "--equivalence-sweeps", "1",
+        ]
+        assert main(argv + ["--history", str(ledger)]) == 0
+        (record,) = read_history(ledger)
+        record["metrics"] = {
+            name: value / 10 if metric_direction(name) == "lower" else value * 10
+            for name, value in record["metrics"].items()
+        }
+        ledger.write_text(json_module.dumps(record) + "\n")
+        append_history(
+            {
+                "benchmark": SUITES["gibbs"].benchmark,
+                "cases": [{"name": "smoke", "fast_seconds_per_sweep": 0.01}],
+            },
+            ledger,
+        )
+        code = main(
+            argv + ["--no-history", "--compare", "--strict",
+                    "--baseline", str(ledger)]
+        )
+        assert code == 1
+        assert "regressed" in capsys.readouterr().out
+
+
+#: What each suite wrote before the registry replaced the per-suite
+#: writers: ledger title, top-level keys, and first-case keys.  Committed
+#: BENCH_*.json files and ledger rows stay comparable only while these hold.
+SUITE_SHAPES = {
+    "gibbs": (
+        "collapsed Gibbs sweep, reference vs fast kernels",
+        ["--warmup", "1", "--reps", "1", "--sweeps-per-rep", "1"],
+        set(),
+        {
+            "config", "corpus", "draws_match", "fast_seconds_per_sweep",
+            "name", "occupancy", "peak_rss_mb",
+            "reference_seconds_per_sweep", "speedup",
+        },
+    ),
+    "parallel": (
+        "parallel COLD sampling, scaling over cluster nodes",
+        ["--parallel", "--nodes", "1", "--executor", "simulated",
+         "--sweeps", "1", "--equivalence-sweeps", "1"],
+        {"cpu_count"},
+        {
+            "config", "corpus", "draws_match", "draws_match_nodes",
+            "executor", "name", "num_workers", "peak_rss_mb", "scaling",
+            "sweeps",
+        },
+    ),
+    "diagnostics": (
+        "quality-streaming diagnostics overhead per Gibbs sweep",
+        ["--diagnostics", "--sweeps", "2", "--reps", "1", "--stride", "1",
+         "--equivalence-sweeps", "1"],
+        set(),
+        {
+            "config", "draws_match", "index_build_seconds", "name",
+            "off_seconds_per_sweep", "on_seconds_per_sweep",
+            "overhead_fraction", "peak_rss_mb", "reps", "stride", "sweeps",
+        },
+    ),
+    "serving": (
+        "prediction serving layer, QPS and client-side latency",
+        ["--serving", "--requests", "4", "--concurrency", "1"],
+        {"cpu_count"},
+        {
+            "cache", "completed", "concurrency", "config", "endpoints",
+            "errors", "metrics_exposition", "model", "name", "num_requests",
+            "p50_ms", "p99_ms", "peak_rss_mb", "qps",
+            "request_id_mismatches",
+        },
+    ),
+    "streaming": (
+        "incremental stream updates vs full batch refit",
+        ["--streaming", "--updates", "1"],
+        set(),
+        {
+            "baseline", "bootstrap_events", "bootstrap_fraction",
+            "bootstrap_seconds", "equivalence", "equivalent", "final_links",
+            "final_posts", "final_slices", "final_vocab", "fit_iterations",
+            "mean_update_seconds", "name", "num_events", "peak_rss_mb",
+            "refit_seconds", "speedup", "streamed_events", "update_sweeps",
+            "updates",
+        },
+    ),
+}
+
+_COMMON_TOP_KEYS = {
+    "benchmark", "cases", "git_describe", "harness", "machine", "method",
+    "numpy", "python",
+}
+
+
+class TestBenchSuites:
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_smoke_run_keeps_payload_shape(self, suite, tmp_path, capsys):
+        import json as json_module
+
+        from repro.perf import read_history
+
+        title, flags, extra_top, case_keys = SUITE_SHAPES[suite]
+        out_path = tmp_path / "bench.json"
+        history = tmp_path / "history.jsonl"
+        code = main(
+            ["bench", str(out_path), "--cases", "smoke",
+             "--history", str(history), *flags]
+        )
+        assert code == 0
+        payload = json_module.loads(out_path.read_text())
+        record = payload["cases"][0]
+        assert SUITES[suite].summary(record) in capsys.readouterr().out
+        assert [row["benchmark"] for row in read_history(history)] == [title]
+        assert set(payload) - {"packed_scaling"} == _COMMON_TOP_KEYS | extra_top
+        assert set(record) == case_keys
+        if suite == "serving":
+            assert set(record["endpoints"]) == {
+                "/v1/query/retweet", "/v1/query/link",
+                "/v1/query/timestamp", "/v1/query/influential",
+            }

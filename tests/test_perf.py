@@ -17,11 +17,9 @@ from repro.perf import (
     SMOKE,
     packed_scale_config,
     peak_rss_mb,
-    run_benchmark,
     run_case,
     run_parallel_case,
-    write_benchmark,
-    write_parallel_benchmark,
+    write_suite,
 )
 
 
@@ -57,17 +55,17 @@ class TestRunCase:
 class TestWriteBenchmark:
     def test_writes_valid_json(self, tmp_path):
         path = tmp_path / "bench.json"
-        payload = write_benchmark(
-            path, cases=(SMOKE,), warmup=1, reps=1, sweeps_per_rep=1
+        payload = write_suite(
+            "gibbs", path, (SMOKE,), warmup=1, reps=1, sweeps_per_rep=1
         )
         on_disk = json.loads(path.read_text())
         assert on_disk == payload
         assert on_disk["cases"][0]["name"] == "smoke"
         assert on_disk["method"]["reps"] == 1
 
-    def test_payload_records_environment(self):
-        payload = run_benchmark(cases=(SMOKE,), warmup=1, reps=1,
-                                sweeps_per_rep=1)
+    def test_payload_records_environment(self, tmp_path):
+        payload = write_suite("gibbs", tmp_path / "bench.json", (SMOKE,),
+                              warmup=1, reps=1, sweeps_per_rep=1)
         assert payload["python"]
         assert payload["numpy"]
         assert payload["harness"] == "repro.perf"
@@ -94,8 +92,8 @@ class TestParallelHarness:
 
     def test_write_parallel_benchmark_round_trips(self, tmp_path):
         path = tmp_path / "bench_parallel.json"
-        payload = write_parallel_benchmark(
-            path, cases=(SMOKE,), node_counts=(1, 2),
+        payload = write_suite(
+            "parallel", path, (SMOKE,), node_counts=(1, 2),
             executor="simulated", sweeps=1, equivalence_sweeps=1,
         )
         on_disk = json.loads(path.read_text())

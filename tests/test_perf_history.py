@@ -28,8 +28,8 @@ from repro.perf import (
     read_history,
     render_comparison,
     resolve_baseline,
+    run_overhead_case,
     run_profile_case,
-    run_profiler_overhead_case,
 )
 
 PAYLOAD = {
@@ -233,8 +233,8 @@ class TestProfileHarness:
         assert "machine" in record
 
     def test_smoke_overhead_record(self):
-        record = run_profiler_overhead_case(
-            SMOKE, sweeps=2, reps=1, equivalence_sweeps=2
+        record = run_overhead_case(
+            SMOKE, "tracer", sweeps=2, reps=1, equivalence_sweeps=2
         )
         assert record["draws_match"] is True
         assert record["off_seconds_per_sweep"] > 0
